@@ -188,9 +188,9 @@ class SweepSpec:
     #: contract (inline plan dicts schema-validate in full).
     FAULT_PARAM = "fault"
 
-    #: Param key selecting the windowed-parallel simulation mode; values
-    #: must be a non-negative integer worker count or ``"auto"``,
-    #: checked up-front so a typo'd mode fails before any spec runs.
+    #: Param key selecting the supernode model; values must be ``0``
+    #: (legacy calendar) or ``1`` (windowed model), checked up-front so
+    #: a typo'd mode fails before any spec runs.
     SIM_PARALLEL_PARAM = "sim_parallel"
 
     #: Param key carrying the experiment's RNG seed.  Pinning or
@@ -294,18 +294,19 @@ class SweepSpec:
                 ) from None
 
     def _validate_sim_parallel(self, group: SweepGroup) -> None:
-        """Fail up-front on malformed ``sim_parallel`` axis values."""
-        for value in self._axis_values(group, self.SIM_PARALLEL_PARAM):
-            ok = (
-                isinstance(value, int)
-                and not isinstance(value, bool)
-                and value >= 0
-            ) or (isinstance(value, str) and value.strip().lower() == "auto")
-            if not ok:
+        """Fail up-front on ``sim_parallel`` axis values other than 0/1."""
+        refs = self._axis_values(group, self.SIM_PARALLEL_PARAM)
+        if not refs:
+            return
+        from repro.workloads.driver import resolve_sim_parallel
+
+        for value in refs:
+            try:
+                resolve_sim_parallel(value)
+            except ValueError as exc:
                 raise SpecError(
-                    f"experiment {group.experiment!r}: sim_parallel must be "
-                    f"a non-negative integer or 'auto', got {value!r}"
-                )
+                    f"experiment {group.experiment!r}: {exc}"
+                ) from None
 
     def _validate_seed_axis(self, group: SweepGroup) -> None:
         """Fail up-front on non-integer ``seed`` axis values."""

@@ -34,9 +34,13 @@ def fault_tolerance(
     mode: str = "degraded",
     retries: int = 3,
     backoff_ps: int = 500_000,
-    sim_parallel: object = 0,
+    sim_parallel: int = 0,
 ) -> ExperimentResult:
-    """One workload under a fault plan: availability + recovery metrics."""
+    """One workload under a fault plan: availability + recovery metrics.
+
+    ``sim_parallel`` selects the supernode model (``0`` legacy calendar,
+    ``1`` windowed); LSU topologies accept only ``0``.
+    """
     from repro.workloads import WorkloadDriver
 
     driver = WorkloadDriver(system_by_name(profile))

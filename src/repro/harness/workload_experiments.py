@@ -56,13 +56,13 @@ def supernode_workload(
     profile: str = "asic",
     seed: int = 1234,
     streams: int = 0,
-    sim_parallel: object = 0,
+    sim_parallel: int = 0,
 ) -> ExperimentResult:
     """Coherent workload traffic through per-host supernode systems.
 
-    ``sim_parallel`` (worker count or ``"auto"``; ``0`` = the legacy
-    synchronous path) switches to the windowed conservative model of
-    :mod:`repro.sim.parallel` — bit-identical across worker counts.
+    ``sim_parallel`` selects the supernode model: ``0`` the legacy
+    single-calendar path, ``1`` the windowed conservative model of
+    :mod:`repro.sim.parallel`.
     """
     from repro.workloads import WorkloadDriver
 

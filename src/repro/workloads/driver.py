@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.config.system import SystemConfig
 from repro.mem.address import CACHELINE
+from repro.sim.parallel import SUPERNODE_ISSUE_GAP_PS, run_windowed_supernode
 from repro.system import SystemBuilder, Topology, resolve_topology
 from repro.workloads.base import Workload, WorkloadOp, resolve_workload
 from repro.workloads.vectorized import KIND_WRITE, OpBatch
@@ -41,15 +42,23 @@ from repro.workloads.vectorized import KIND_WRITE, OpBatch
 #: system too (producer/consumer sharing relies on this).
 WINDOW_BASE = 0x20_0000
 
-#: Supernode coherent accesses are synchronous (no simulator clock), so
-#: fault windows are evaluated against a virtual clock: think time plus
-#: paid fabric latency plus this per-access issue pacing, which keeps
-#: the clock advancing even through local-hit streaks.
-SUPERNODE_ISSUE_GAP_PS = 50_000
-
 
 class WorkloadDriverError(ValueError):
     """The target system exposes nothing the driver can issue through."""
+
+
+def resolve_sim_parallel(value: object) -> bool:
+    """``sim_parallel`` → whether supernodes run the windowed model.
+
+    ``0`` selects the legacy single-calendar path and ``1`` the windowed
+    model (:mod:`repro.sim.parallel`); anything else is rejected.
+    """
+    if type(value) is not int or value not in (0, 1):  # bools are rejected
+        raise WorkloadDriverError(
+            f"sim_parallel must be 0 (legacy calendar) or 1 (windowed "
+            f"model), got {value!r}"
+        )
+    return value == 1
 
 
 @dataclass
@@ -115,7 +124,7 @@ class WorkloadDriver:
         fault_mode: str = "strict",
         fault_retries: int = 3,
         fault_backoff_ps: int = 500_000,
-        sim_parallel: Union[int, str, None] = None,
+        sim_parallel: int = 0,
         metrics=None,
         metrics_interval_ps: int = 1_000_000,
     ) -> WorkloadMeasurement:
@@ -139,14 +148,11 @@ class WorkloadDriver:
         ``fault=None`` this method is byte-for-byte the historical
         no-fault path.
 
-        ``sim_parallel`` switches supernode topologies to the windowed
-        conservative model (:mod:`repro.sim.parallel`): ``1`` runs the
-        windowed lanes in-process, ``N >= 2`` forks up to ``N`` worker
-        processes, ``"auto"`` uses
-        :func:`~repro.experiments.runner.default_jobs`, and ``0`` /
-        ``None`` keep the historical synchronous path.  The windowed
-        measurement is bit-identical across every ``sim_parallel >= 1``
-        value — that parity is CI-gated.
+        ``sim_parallel`` selects the supernode model: ``0`` (default)
+        keeps the historical single-calendar path and ``1`` runs the
+        windowed conservative model (:mod:`repro.sim.parallel`).  Any
+        other value raises :class:`WorkloadDriverError`, and so does
+        ``1`` on an LSU topology.
 
         ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
         opts into observation: the built system's counters bind as
@@ -161,7 +167,7 @@ class WorkloadDriver:
         since observation keeps the clock alive up to one interval past
         the final op).
         """
-        jobs = self._resolve_sim_parallel(sim_parallel)
+        windowed = resolve_sim_parallel(sim_parallel)
         resolved_workload = resolve_workload(workload)
         batch = resolved_workload.batch(seed)
         if streams is not None and streams > 1 and not batch.streams.any():
@@ -194,14 +200,14 @@ class WorkloadDriver:
             # shared event calendar advances (LSU mode); the snapshot
             # event reads instruments and reschedules itself while live
             # work remains, so it never extends the run.
-            if resolved_topology.by_kind("lsu") and jobs is None:
+            if resolved_topology.by_kind("lsu") and not windowed:
                 MetricSnapshotter(
                     system.sim, metrics, metrics_interval_ps
                 ).start()
         if resolved_topology.by_kind("supernode.fabric"):
-            if jobs is not None:
+            if windowed:
                 series = self._drive_supernode_windowed(
-                    system, resolved_topology, batch, controller, jobs
+                    system, resolved_topology, batch, controller
                 )
             else:
                 ops = batch.to_ops()
@@ -210,7 +216,7 @@ class WorkloadDriver:
                 )
             mode = "supernode"
         elif resolved_topology.by_kind("lsu"):
-            if jobs is not None:
+            if windowed:
                 raise WorkloadDriverError(
                     f"sim_parallel applies to supernode topologies only; "
                     f"topology {resolved_topology.name!r} is driven through "
@@ -244,27 +250,6 @@ class WorkloadDriver:
             series=series,
             fault=None if controller is None else controller.plan.name,
         )
-
-    @staticmethod
-    def _resolve_sim_parallel(value: Union[int, str, None]) -> Optional[int]:
-        """``None``/``0`` → legacy path; ``"auto"`` → default jobs; N → N."""
-        if value is None:
-            return None
-        if isinstance(value, str):
-            if value.strip().lower() == "auto":
-                from repro.experiments.runner import default_jobs
-
-                return default_jobs()
-            raise WorkloadDriverError(
-                f"sim_parallel must be a non-negative integer or 'auto', "
-                f"got {value!r}"
-            )
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise WorkloadDriverError(
-                f"sim_parallel must be a non-negative integer or 'auto', "
-                f"got {value!r}"
-            )
-        return None if value == 0 else value
 
     # ------------------------------------------------------------------
     # LSU mode
@@ -682,20 +667,15 @@ class WorkloadDriver:
 
     @staticmethod
     def _drive_supernode_windowed(
-        system, topology: Topology, batch: OpBatch, controller, jobs: int
+        system, topology: Topology, batch: OpBatch, controller
     ) -> Dict[str, Dict[str, float]]:
         """Drive coherent traffic through the windowed conservative model.
 
         The batch is split into per-host substreams with array ops and
         handed to :func:`repro.sim.parallel.run_windowed_supernode`;
         the series are rebuilt from the per-lane counters (the lanes
-        never touch the shared supernode objects, which is what makes
-        them process-safe).  ``jobs=1`` and ``jobs>=2`` share the lane
-        and merge code, so the measurement is bit-identical across
-        every ``jobs`` value.
+        never touch the shared supernode objects).
         """
-        from repro.sim.parallel import run_windowed_supernode
-
         fabric_name = topology.by_kind("supernode.fabric")[0].name
         supernode = system.node(fabric_name)
         hosts = sorted(supernode.hosts)
@@ -710,9 +690,8 @@ class WorkloadDriver:
                 excl[mask].tolist(),
                 batch.delays[mask].tolist(),
             )
-        outcome = run_windowed_supernode(
-            supernode, fabric_name, per_host_ops, jobs=jobs,
-            controller=controller,
+        lanes = run_windowed_supernode(
+            supernode, fabric_name, per_host_ops, controller=controller
         )
 
         series: Dict[str, Dict[str, float]] = {
@@ -723,7 +702,7 @@ class WorkloadDriver:
         }
         total_local = 0
         total_global = 0
-        for lane in outcome.lanes:
+        for lane in lanes:
             series["accesses"][lane.host] = float(lane.accesses)
             series["remote_accesses"][lane.host] = float(lane.remote_accesses)
             series["fabric_latency_us"][lane.host] = lane.latency_ps / 1e6
@@ -735,10 +714,10 @@ class WorkloadDriver:
             total_global += lane.global_requests
         series["accesses"]["all"] = float(len(batch))
         series["remote_accesses"]["all"] = float(
-            sum(lane.remote_accesses for lane in outcome.lanes)
+            sum(lane.remote_accesses for lane in lanes)
         )
         series["fabric_latency_us"]["all"] = (
-            sum(lane.latency_ps for lane in outcome.lanes) / 1e6
+            sum(lane.latency_ps for lane in lanes) / 1e6
         )
         series["filter_rate"]["all"] = (
             total_local / (total_local + total_global)
@@ -747,10 +726,10 @@ class WorkloadDriver:
         )
         if controller is not None:
             series["naks"] = {
-                lane.host: float(lane.naks) for lane in outcome.lanes
+                lane.host: float(lane.naks) for lane in lanes
             }
             series["naks"]["all"] = float(
-                sum(lane.naks for lane in outcome.lanes)
+                sum(lane.naks for lane in lanes)
             )
             # Fold the per-lane fault accounting back into the
             # controller so the availability/recovery tail in run()
@@ -758,21 +737,21 @@ class WorkloadDriver:
             # completion at-or-after it across all lanes is exactly the
             # settle-time input the synchronous path would record.
             stats = controller.stats
-            stats.attempted = sum(l.attempted for l in outcome.lanes)
-            stats.completed = sum(l.completed for l in outcome.lanes)
-            stats.dropped = sum(l.dropped for l in outcome.lanes)
-            stats.retries = sum(l.retries for l in outcome.lanes)
-            stats.corrupted = sum(l.corrupted for l in outcome.lanes)
+            stats.attempted = sum(l.attempted for l in lanes)
+            stats.completed = sum(l.completed for l in lanes)
+            stats.dropped = sum(l.dropped for l in lanes)
+            stats.retries = sum(l.retries for l in lanes)
+            stats.corrupted = sum(l.corrupted for l in lanes)
             merged: List[int] = []
-            slots = len(outcome.lanes[0].min_after) if outcome.lanes else 0
+            slots = len(lanes[0].min_after) if lanes else 0
             for j in range(slots):
                 candidates = [
                     l.min_after[j]
-                    for l in outcome.lanes
+                    for l in lanes
                     if l.min_after[j] >= 0
                 ]
                 if candidates:
                     merged.append(min(candidates))
             stats.completion_times_ps = merged
-            controller.end_ps = outcome.end_ps
+            controller.end_ps = max((lane.clock for lane in lanes), default=0)
         return series
