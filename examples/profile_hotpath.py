@@ -1,19 +1,11 @@
 #!/usr/bin/env python3
-"""Profile the simulator hot path with cProfile, before/after style.
+"""Profile the simulator hot path with cProfile.
 
-Runs the same small RPC simulation twice and prints the top functions
-by self-time for each configuration:
-
-* **baseline-style** — the observability-heavy configuration: full
-  MESI transition validation and a per-request latency histogram flush
-  (what the hot path looked like before the fast paths landed);
-* **tuned** — MESI fast mode enabled (``set_fast_mode(True)``), i.e.
-  what ``repro bench`` and large measurement sweeps run with.
-
-Timing *results* are identical in both configurations — validation and
-observability are passive — only the wall clock differs.  Use this
+Runs a small RPC simulation once, on the default path every sweep and
+experiment takes, and prints the top functions by self-time.  Use this
 script as the template for hunting new hot spots: whatever leads the
-"tottime" column is what the next optimization PR should attack.
+"tottime" column is what the next optimization should attack.  For
+recorded end-to-end and per-layer numbers, use ``perfbench/run.py``.
 
 Run:  python examples/profile_hotpath.py
 """
@@ -23,7 +15,6 @@ import io
 import pstats
 import time
 
-from repro.cache.mesi import set_fast_mode
 from repro.config import fpga_system
 from repro.rpc.harness import run_rpc_comparison
 
@@ -33,7 +24,7 @@ def run_workload():
     return run_rpc_comparison(fpga_system(), benches=("Bench0", "Bench1"), messages=60)
 
 
-def profile(label: str, top: int = 12) -> float:
+def main(top: int = 12) -> None:
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
@@ -44,30 +35,13 @@ def profile(label: str, top: int = 12) -> float:
     sink = io.StringIO()
     stats = pstats.Stats(profiler, stream=sink).sort_stats("tottime")
     stats.print_stats(top)
-    print(f"=== {label}: {wall * 1e3:.1f} ms wall ===")
+    print(f"=== RPC comparison: {wall * 1e3:.1f} ms wall ===")
     # Keep only the table (drop the pstats preamble noise).
     lines = sink.getvalue().splitlines()
     table_start = next(i for i, l in enumerate(lines) if "ncalls" in l)
     print("\n".join(lines[table_start : table_start + top + 1]))
     speedup = results["Bench0"].deser_speedup
-    print(f"(sanity: Bench0 deserialization speedup = {speedup:.2f}x)\n")
-    return wall
-
-
-def main():
-    baseline_wall = profile("baseline-style (strict MESI validation)")
-
-    previous = set_fast_mode(True)
-    try:
-        tuned_wall = profile("tuned (MESI fast mode)")
-    finally:
-        set_fast_mode(previous)
-
-    print(
-        f"wall-clock delta: {baseline_wall * 1e3:.1f} ms -> {tuned_wall * 1e3:.1f} ms "
-        f"({baseline_wall / tuned_wall:.2f}x)"
-    )
-    print("simulated results are bit-identical; only host time changes.")
+    print(f"(sanity: Bench0 deserialization speedup = {speedup:.2f}x)")
 
 
 if __name__ == "__main__":

@@ -104,42 +104,6 @@ class CacheArray:
             self.misses += 1
         return None
 
-    def lookup_many(self, addrs, touch: bool = True, count: bool = True) -> int:
-        """Bulk probe: one :meth:`lookup` per address, returns the hit count.
-
-        Accepts any iterable of addresses, including a numpy int array
-        (the :class:`~repro.workloads.vectorized.OpBatch` address
-        column feeds this directly).  Statistics and LRU state end up
-        exactly as ``sum(lookup(a, touch, count) is not None for a in
-        addrs)`` would leave them — the aggregate contract the bulk
-        workload paths rely on — with the per-call bookkeeping hoisted
-        out of the loop.
-        """
-        if hasattr(addrs, "tolist"):
-            addrs = addrs.tolist()
-        line_shift = self._line_shift
-        set_mask = self._set_mask
-        set_bits = self._set_bits
-        sets_get = self._sets.get
-        tick = self._tick
-        hits = 0
-        probes = 0
-        for addr in addrs:
-            probes += 1
-            shifted = addr >> line_shift
-            cache_set = sets_get(shifted & set_mask)
-            block = cache_set.get(shifted >> set_bits) if cache_set else None
-            if block is not None and block.valid:
-                hits += 1
-                if touch:
-                    tick += 1
-                    block.last_touch = tick
-        self._tick = tick
-        if count:
-            self.hits += hits
-            self.misses += probes - hits
-        return hits
-
     def peek(self, addr: int) -> Optional[CacheBlock]:
         """Lookup without statistics or LRU update."""
         shifted = addr >> self._line_shift

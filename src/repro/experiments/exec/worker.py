@@ -37,8 +37,8 @@ Progress = Optional[Callable[[str], None]]
 
 #: Finished records buffered before a batched store append.  Small
 #: enough that a crash re-runs at most a handful of specs, large enough
-#: to amortise the shard lock round-trip (see ``repro bench``'s
-#: ``result_store`` workload for the measured delta).
+#: to amortise the shard lock round-trip (:meth:`ResultStore.append_many`
+#: takes the lock and writes once per batch).
 FLUSH_BATCH = 8
 
 

@@ -9,10 +9,9 @@ Generators that can express their stream as array math attach a
 the two representations cannot drift — they are one stream, stored
 columnar.
 
-The batch is what the hot paths consume: the
+The batch is what the hot path consumes: the
 :class:`~repro.workloads.driver.WorkloadDriver` re-stripes and splits
-per-host substreams with array ops, and bulk cache probes
-(:meth:`CacheArray.lookup_many`) take the address column directly.
+per-host substreams with array ops.
 """
 
 from __future__ import annotations

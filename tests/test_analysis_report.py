@@ -25,6 +25,7 @@ from repro.experiments import (
     compare_runs,
     group_samples,
     preset_sweep,
+    run_sweep,
 )
 from repro.experiments.plotting import PlotError, get_plotter, strip_plot_svg
 from repro.experiments.rendering import render_html_report, write_html_report
@@ -342,6 +343,19 @@ class TestRepeatSeedInjection:
         specs = sweep.expand()
         assert len(specs) == 20
         assert len({s.params["seed"] for s in specs}) == 20
+
+
+# ---------------------------- quick preset -----------------------------
+def test_quick_preset_runs_all_ten_specs_ok(tmp_path):
+    outcome = run_sweep(
+        preset_sweep("quick"), tmp_path / "quick", backend="serial",
+        telemetry=False,
+    )
+    assert outcome.total == len(outcome.executed) == 10
+    assert outcome.ok
+    report = RunReport(outcome.out_dir)
+    assert len(report.ok_records) == 10
+    assert not report.failures
 
 
 # ------------------------------- CLI -----------------------------------

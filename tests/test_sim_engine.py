@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import Simulator
@@ -275,3 +277,59 @@ def test_cancel_after_reset_is_harmless():
     sim.schedule(10, fired.append, "z")
     sim.run()
     assert fired == ["z"]
+
+
+def test_self_rescheduling_chains_drain_to_the_exact_budget():
+    # 64 timer chains share one budget: every tick below the budget
+    # schedules exactly one successor, so the drain executes the
+    # initial events plus budget - 1 successors, and does so at the
+    # same simulated end time on every run.
+    def drain(budget=5_000, chains=64, seed=7):
+        rng = random.Random(seed)
+        sim = Simulator()
+        ticks = [0]
+
+        def tick(delay):
+            ticks[0] += 1
+            if ticks[0] < budget:
+                sim.schedule_after(
+                    delay, tick, (1 + (delay * 1103515245 + 12345) % 997,)
+                )
+
+        for _ in range(chains):
+            sim.schedule_after(rng.randrange(1, 1000), tick, (rng.randrange(1, 997),))
+        sim.run()
+        return sim.executed, sim.now
+
+    executed, end = drain()
+    assert executed == 5_000 + 64 - 1
+    assert drain() == (executed, end)
+
+
+def test_many_fast_path_events_fire_in_time_then_fifo_order():
+    sim = Simulator()
+    fired = []
+    for i in range(10_000):
+        sim.schedule_after(i % 977, fired.append, (i,))
+    sim.run()
+    assert sim.executed == 10_000
+    assert fired == sorted(range(10_000), key=lambda i: (i % 977, i))
+
+
+def test_cancel_churn_fires_exactly_the_live_events():
+    # Random cancels, some on already-cancelled handles: every live
+    # event fires once, in time order, and repeat cancels are no-ops.
+    rng = random.Random(11)
+    sim = Simulator()
+    fired = []
+    handles = []
+    for i in range(2_000):
+        handles.append(sim.schedule(rng.randrange(1, 1_000_000), fired.append, i))
+        if i % 2:
+            handles[rng.randrange(0, len(handles))].cancel()
+    live = [i for i, handle in enumerate(handles) if not handle.cancelled]
+    assert len(handles) - len(live) < 1_000  # some cancels repeat
+    sim.run()
+    assert sim.executed == len(live)
+    assert sorted(fired) == live
+    assert fired == sorted(fired, key=lambda i: (handles[i].when, i))

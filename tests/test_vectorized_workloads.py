@@ -1,18 +1,14 @@
-"""Vectorized workload hot paths: OpBatch and bulk cache probes.
+"""Vectorized workload hot paths: OpBatch.
 
 The contracts under test: every builtin generator's batch and scalar
 views are the same stream (``ops()`` derives from ``batch()``, and a
-``from_ops`` round trip is exact); re-striping and concatenation are
-the array twins of their scalar counterparts; and
-``CacheArray.lookup_many`` leaves bit-identical array state and stats
-to the equivalent scalar ``lookup`` loop.
+``from_ops`` round trip is exact); and re-striping and concatenation
+are the array twins of their scalar counterparts.
 """
 
 import numpy as np
 import pytest
 
-from repro.cache.array import CacheArray
-from repro.cache.block import MesiState
 from repro.mem.address import CACHELINE
 from repro.workloads import (
     KIND_READ,
@@ -117,49 +113,3 @@ def test_numpy_rng_is_seed_deterministic():
     b = numpy_rng(random.Random(5)).random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, numpy_rng(random.Random(6)).random(8))
-
-
-# ------------------------ bulk cache probes ---------------------------
-def _warmed_pair(seed=3):
-    scalar = CacheArray(16 * 1024, 4, name="scalar")
-    bulk = CacheArray(16 * 1024, 4, name="bulk")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    warm = rng.integers(0, 128, size=256) * CACHELINE
-    for addr in warm.tolist():
-        scalar.insert(addr, MesiState.EXCLUSIVE)
-        bulk.insert(addr, MesiState.EXCLUSIVE)
-    probes = rng.integers(0, 256, size=2048) * CACHELINE
-    return scalar, bulk, probes
-
-
-def test_lookup_many_matches_scalar_lookup_loop():
-    scalar, bulk, probes = _warmed_pair()
-    expected = sum(
-        1 for addr in probes.tolist() if scalar.lookup(addr) is not None
-    )
-    hits = bulk.lookup_many(probes)
-    assert hits == expected
-    assert (bulk.hits, bulk.misses) == (scalar.hits, scalar.misses)
-    # Identical LRU state afterwards: same victims on the next inserts.
-    for addr in range(0, 64 * CACHELINE, CACHELINE):
-        assert (
-            scalar.insert(addr, MesiState.EXCLUSIVE)[1] is None
-        ) == (bulk.insert(addr, MesiState.EXCLUSIVE)[1] is None)
-
-
-def test_lookup_many_touch_and_count_flags():
-    scalar, bulk, probes = _warmed_pair(seed=9)
-    before = (bulk.hits, bulk.misses)
-    hits = bulk.lookup_many(probes, touch=False, count=False)
-    assert (bulk.hits, bulk.misses) == before  # stats untouched
-    # Same hit total as a peek-style pass over the scalar twin.
-    expected = sum(
-        1 for addr in probes.tolist() if scalar.peek(addr) is not None
-    )
-    assert hits == expected
-
-
-def test_lookup_many_accepts_plain_lists():
-    array = CacheArray(16 * 1024, 4)
-    array.insert(0, MesiState.EXCLUSIVE)
-    assert array.lookup_many([0, CACHELINE]) == 1
