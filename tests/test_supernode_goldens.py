@@ -8,11 +8,17 @@
 * ``supernode(2|3|4)`` × four workload shapes, no fault plan;
 * ``zipf(192,1.2)`` on each named supernode topology;
 * ``mixed(96)`` on ``supernode(4)`` under every shipped fault plan in
-  degraded mode.
+  degraded and in strict mode.
+
+It also pins the LSU issue chain: ``fanout-2`` and ``fanout(4)`` ×
+``mixed(96)``/``rw-mix(400,0.7)``, with no fault plan and under every
+shipped plan in strict and in degraded mode, on the ``fpga`` profile
+(the CLI default; the supernode cases run ``asic``).  A case that
+raises pins ``"<ExceptionType>: <message>"`` instead of a measurement.
 
 ``tests/data/run_all.txt`` pins the full ``repro run all`` output.
-A refactor of either supernode path must leave every golden
-byte-identical; a deliberate model change re-pins them with::
+A refactor of the issue chain or either supernode path must leave every
+golden byte-identical; a deliberate model change re-pins them with::
 
     PYTHONPATH=src python tests/test_supernode_goldens.py --regen
 """
@@ -21,7 +27,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.config import asic_system
+from repro.config import system_by_name
 from repro.faults.plan import fault_plan_names
 from repro.workloads import WorkloadDriver
 
@@ -36,43 +42,69 @@ WORKLOADS = (
     "mixed(96)",
 )
 NAMED_SUPERNODES = ("supernode-2host", "supernode-4host")
+FANOUTS = ("fanout-2", "fanout(4)")
+FANOUT_WORKLOADS = ("mixed(96)", "rw-mix(400,0.7)")
 SEED = 77
 STREAMS = 4
 
 
 def _cases():
-    """``(case_id, topology, workload, sim_parallel, fault)`` tuples."""
+    """``(case_id, profile, topology, workload, sim_parallel, fault,
+    fault_mode)`` tuples."""
     for hosts in (2, 3, 4):
         for workload in WORKLOADS:
             for sim_parallel in (0, 1):
                 topology = f"supernode({hosts})"
                 yield (
                     f"{topology}/{workload}/sim_parallel={sim_parallel}",
-                    topology, workload, sim_parallel, None,
+                    "asic", topology, workload, sim_parallel, None, None,
                 )
     for topology in NAMED_SUPERNODES:
         for sim_parallel in (0, 1):
             yield (
                 f"{topology}/zipf(192,1.2)/sim_parallel={sim_parallel}",
-                topology, "zipf(192,1.2)", sim_parallel, None,
+                "asic", topology, "zipf(192,1.2)", sim_parallel, None, None,
             )
     for fault in fault_plan_names():
         for sim_parallel in (0, 1):
             yield (
                 f"supernode(4)/mixed(96)/fault={fault}/"
                 f"sim_parallel={sim_parallel}",
-                "supernode(4)", "mixed(96)", sim_parallel, fault,
+                "asic", "supernode(4)", "mixed(96)", sim_parallel, fault,
+                "degraded",
             )
+            yield (
+                f"supernode(4)/mixed(96)/fault={fault}/strict/"
+                f"sim_parallel={sim_parallel}",
+                "asic", "supernode(4)", "mixed(96)", sim_parallel, fault,
+                "strict",
+            )
+    for topology in FANOUTS:
+        for workload in FANOUT_WORKLOADS:
+            yield (
+                f"{topology}/{workload}",
+                "fpga", topology, workload, 0, None, None,
+            )
+            for fault in fault_plan_names():
+                for mode in ("strict", "degraded"):
+                    yield (
+                        f"{topology}/{workload}/fault={fault}/{mode}",
+                        "fpga", topology, workload, 0, fault, mode,
+                    )
 
 
-def _measure(topology, workload, sim_parallel, fault):
+def _measure(profile, topology, workload, sim_parallel, fault, fault_mode):
+    """The case's measurement dict, or ``"<ExceptionType>: <message>"``."""
     kwargs = {}
     if fault is not None:
-        kwargs.update(fault=fault, fault_mode="degraded")
-    measurement = WorkloadDriver(asic_system()).run(
-        workload, topology=topology, seed=SEED, streams=STREAMS,
-        sim_parallel=sim_parallel, **kwargs,
-    )
+        kwargs.update(fault=fault, fault_mode=fault_mode)
+    try:
+        measurement = WorkloadDriver(system_by_name(profile)).run(
+            workload, topology=topology, seed=SEED, streams=STREAMS,
+            sim_parallel=sim_parallel, **kwargs,
+        )
+    except Exception as exc:  # a raising case pins its exception text
+        return f"{type(exc).__name__}: {exc}"
     return measurement.to_dict()
 
 
