@@ -80,9 +80,6 @@ class CacheArray:
         shifted = addr >> self._line_shift
         return shifted & self._set_mask, shifted >> self._set_bits
 
-    # Backwards-compatible internal alias.
-    _index_tag = index_tag
-
     def lookup(self, addr: int, touch: bool = True, count: bool = True) -> Optional[CacheBlock]:
         """Return the valid block holding ``addr``, or None.
 

@@ -32,7 +32,7 @@ def _attribute(callback) -> str:
             return name
         return type(owner).__name__
     qualname = getattr(callback, "__qualname__", None) or repr(callback)
-    # Collapse closures: "WorkloadDriver._issue_chain.<locals>.step" ->
+    # Collapse closures: "WorkloadDriver._issue_chain.<locals>.finish" ->
     # "WorkloadDriver._issue_chain".
     return qualname.split(".<locals>")[0]
 

@@ -26,15 +26,16 @@ slightly in ``remote_accesses`` on write-sharing streams, because
 another host's invalidation reaches a lane only at the next window
 barrier.
 
-Fault plans work in windowed mode too: each lane evaluates the
-time-windowed plan queries against its own clock and consumes
-corruption draws from a lane-local (per-link) counter, so fault
-outcomes do not depend on how lanes interleave.
+Fault plans work in windowed mode too, through the same window step:
+with a fault controller each attempt passes the lane's fault policy,
+which evaluates the time-windowed plan queries against the lane's own
+clock and consumes corruption draws from a lane-local (per-link)
+counter, so fault outcomes do not depend on how lanes interleave.
+Without a controller the policy costs one branch per op.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Per-access issue pacing of both supernode models (ps).  Supernode
@@ -90,16 +91,6 @@ def remote_latency_table(supernode) -> Dict[str, int]:
 # ---------------------------------------------------------------------
 # Lanes
 # ---------------------------------------------------------------------
-@dataclass
-class _FaultContext:
-    """Static fault-plan bindings one lane evaluates on its own clock."""
-
-    controller: object
-    fabric_name: str
-    link_key: Tuple[str, str]
-    recovery_times: Tuple[int, ...]
-
-
 class _Lane:
     """One host's share of the run: ops, clock, replicas, counters."""
 
@@ -108,9 +99,9 @@ class _Lane:
         "remote_latency_ps", "clock", "replicas",
         "accesses", "latency_ps", "local_hits", "global_requests",
         "remote_accesses", "naks",
-        "fault", "attempted", "completed", "dropped", "retries",
-        "corrupted", "draws", "min_after", "op_t", "op_attempt",
-        "op_redeliver", "op_started",
+        "controller", "fabric_name", "link_key", "recovery_times",
+        "attempted", "completed", "dropped", "retries", "corrupted",
+        "draws", "min_after", "op_t", "op_attempt", "op_redeliver",
     )
 
     def __init__(
@@ -121,7 +112,9 @@ class _Lane:
         excl: Sequence[int],
         delays: Sequence[int],
         remote_latency_ps: int,
-        fault: Optional[_FaultContext] = None,
+        controller,
+        fabric_name: str,
+        recovery_times: Tuple[int, ...],
     ) -> None:
         self.idx = idx
         self.host = host
@@ -133,29 +126,31 @@ class _Lane:
         self.seq = 0
         self.remote_latency_ps = remote_latency_ps
         self.clock = 0
-        self.replicas: Dict[int, bool] = {}
+        self.replicas: Dict[int, int] = {}  # line -> held exclusive
         self.accesses = 0
         self.latency_ps = 0
         self.local_hits = 0
         self.global_requests = 0
         self.remote_accesses = 0
         self.naks = 0
-        self.fault = fault
+        # Fault-plan bindings, evaluated on this lane's own clock.
+        self.controller = controller
+        self.fabric_name = fabric_name
+        self.link_key = tuple(sorted((host, fabric_name)))
+        self.recovery_times = recovery_times
         self.attempted = 0
         self.completed = 0
         self.dropped = 0
         self.retries = 0
         self.corrupted = 0
         self.draws = 0
-        self.min_after: List[int] = (
-            [-1] * len(fault.recovery_times) if fault is not None else []
-        )
-        # Mid-op resume state for the faulted path (retries can carry an
-        # op across window boundaries).
+        self.min_after: List[int] = [-1] * len(recovery_times)
+        # Fault policy state of the current op: its next attempt time
+        # once started (retries can carry an op across window
+        # boundaries; None before its first attempt) and its budgets.
         self.op_t: Optional[int] = None
         self.op_attempt = 0
         self.op_redeliver = 0
-        self.op_started = False
 
     # -- hot loop -------------------------------------------------------
     def run_window(
@@ -165,34 +160,134 @@ class _Lane:
         time (``-1`` once the lane's calendar is empty).
 
         Emitted global requests are appended to ``out`` as
-        ``(t, host_idx, seq, line, excl)`` tuples.
+        ``(t, host_idx, seq, line, excl)`` tuples.  Under a fault
+        controller each attempt first passes :meth:`_blocked` and each
+        access then :meth:`_delivered`.
         """
-        if self.fault is not None:
-            return self._run_window_faulted(window_end, out)
+        faulted = self.controller is not None
+        idx = self.idx
+        lines = self.lines
+        excl_flags = self.excl
+        delays = self.delays
+        replicas = self.replicas
         while self.i < self.n:
-            t = self.clock + self.delays[self.i] + SUPERNODE_ISSUE_GAP_PS
+            if faulted and self.op_t is not None:
+                t = self.op_t
+            else:
+                t = self.clock + delays[self.i] + SUPERNODE_ISSUE_GAP_PS
             if t >= window_end:
                 return t
-            line = self.lines[self.i]
-            excl = bool(self.excl[self.i])
-            held = self.replicas.get(line)
+            if faulted and self._blocked(t):
+                continue
+            line = lines[self.i]
+            excl = excl_flags[self.i]
+            held = replicas.get(line)
             if held is not None and (not excl or held):
                 self.local_hits += 1
                 paid = 0
             else:
                 self.global_requests += 1
                 self.remote_accesses += 1
-                self.replicas[line] = excl
-                out.append((t, self.idx, self.seq, line, int(excl)))
+                replicas[line] = excl
+                out.append((t, idx, self.seq, line, excl))
                 self.seq += 1
                 paid = self.remote_latency_ps
+            if faulted:
+                paid = self._delivered(t, paid)
+                if paid < 0:
+                    continue
+            if paid:
                 self.latency_ps += paid
             self.accesses += 1
             self.clock = t + paid
             self.i += 1
         return -1
 
-    # -- faulted variant ------------------------------------------------
+    # -- fault policy ---------------------------------------------------
+    def _blocked(self, t: int) -> bool:
+        """Start an attempt at ``t``: is the op's path down?
+
+        Mirrors the legacy virtual-clock policy
+        (:meth:`WorkloadDriver._supernode_fault_policy`): link/fabric
+        outages raise-or-retry, down hosts NAK.  A blocked attempt is
+        rescheduled with backoff or, out of retries, dropped.
+        """
+        controller = self.controller
+        if self.op_t is None:
+            self.attempted += 1
+            self.op_attempt = 0
+            self.op_redeliver = 0
+        self.op_t = t
+        key = self.link_key
+        if controller.link_down(key, t) or controller.node_down(
+            self.fabric_name, t
+        ):
+            host_down = False
+        elif controller.node_down(self.host, t):
+            self.naks += 1
+            host_down = True
+        else:
+            return False
+        if not controller.degraded:
+            from repro.core.supernode import HostDownError
+            from repro.faults.controller import FaultActiveError
+
+            if host_down:
+                raise HostDownError(
+                    f"supernode host {self.host!r} is down: coherent "
+                    f"access NAKed ({self.naks} so far)"
+                )
+            raise FaultActiveError(f"path {key[0]}--{key[1]} is down at {t}ps")
+        retry = controller.retry
+        if self.op_attempt < retry.max_retries:
+            self.retries += 1
+            self.op_t = t + retry.delay_ps(self.op_attempt)
+            self.op_attempt += 1
+        else:
+            self._drop(t)
+        return True
+
+    def _delivered(self, t: int, latency: int) -> int:
+        """Finish an access issued at ``t``: the paid latency, or ``-1``.
+
+        Degraded links scale the latency by the active factor; a
+        corrupted completion is retransmitted (re-paying another
+        access) or, out of retries, dropped.  A clean completion feeds
+        the availability stats.
+        """
+        controller = self.controller
+        factor = controller.link_factor(self.link_key, t)
+        paid = latency if factor == 1.0 else int(round(latency * factor))
+        t += paid
+        if self._corrupt_hit(t):
+            self.corrupted += 1
+            if not controller.degraded:
+                from repro.faults.controller import FaultActiveError
+
+                key = self.link_key
+                raise FaultActiveError(
+                    f"message on {key[0]}--{key[1]} corrupted at {t}ps"
+                )
+            if self.op_redeliver < controller.retry.max_retries:
+                self.op_redeliver += 1
+                self.retries += 1
+                self.op_t = t
+            else:
+                self._drop(t)
+            return -1
+        self.completed += 1
+        for j, recovery in enumerate(self.recovery_times):
+            if t >= recovery and (self.min_after[j] < 0 or t < self.min_after[j]):
+                self.min_after[j] = t
+        self.op_t = None
+        return paid
+
+    def _drop(self, t: int) -> None:
+        self.dropped += 1
+        self.clock = t
+        self.i += 1
+        self.op_t = None
+
     def _corrupt_hit(self, t: int) -> bool:
         """Lane-local corruption draws (one per active msg_corrupt event).
 
@@ -200,127 +295,21 @@ class _Lane:
         counter; a windowed lane draws from its own per-link counter so
         outcomes stay independent of how lanes interleave.
         """
+        controller = self.controller
+        events = controller._corrupts.get(self.link_key)
+        if not events:
+            return False
         from repro.faults.plan import corrupt_draw
 
-        ctx = self.fault
-        controller = ctx.controller
         hit = False
-        key_str = "--".join(ctx.link_key)
-        for event in controller._corrupts.get(ctx.link_key, ()):
+        key_str = "--".join(self.link_key)
+        for event in events:
             if event.active_at(t):
                 index = self.draws
                 self.draws += 1
                 if corrupt_draw(controller.seed, key_str, index, event.rate):
                     hit = True
         return hit
-
-    def _run_window_faulted(
-        self, window_end: int, out: List[Tuple[int, int, int, int, int]]
-    ) -> int:
-        """Fault-aware window step, mirroring the legacy virtual-clock
-        loop (:meth:`WorkloadDriver._drive_supernode_faulted`) op for op:
-        link/fabric outages raise-or-retry, down hosts NAK, degraded
-        latency scales by the active factor, corrupted completions
-        retransmit, and completions/drops feed the availability stats.
-        """
-        from repro.core.supernode import HostDownError
-        from repro.faults.controller import FaultActiveError
-
-        ctx = self.fault
-        controller = ctx.controller
-        retry = controller.retry
-        key = ctx.link_key
-        fabric_name = ctx.fabric_name
-        while True:
-            if self.op_t is None:
-                if self.i >= self.n:
-                    return -1
-                self.op_t = (
-                    self.clock + self.delays[self.i] + SUPERNODE_ISSUE_GAP_PS
-                )
-                self.op_attempt = 0
-                self.op_redeliver = 0
-                self.op_started = False
-            t = self.op_t
-            if t >= window_end:
-                return t
-            if not self.op_started:
-                self.op_started = True
-                self.attempted += 1
-            line = self.lines[self.i]
-            excl = bool(self.excl[self.i])
-            if controller.link_down(key, t) or controller.node_down(
-                fabric_name, t
-            ):
-                down: Optional[str] = "link"
-            elif controller.node_down(self.host, t):
-                self.naks += 1
-                down = "host"
-            else:
-                down = None
-            if down is not None:
-                if not controller.degraded:
-                    if down == "host":
-                        raise HostDownError(
-                            f"supernode host {self.host!r} is down: coherent "
-                            f"access NAKed ({self.naks} so far)"
-                        )
-                    raise FaultActiveError(
-                        f"path {key[0]}--{key[1]} is down at {t}ps"
-                    )
-                if self.op_attempt < retry.max_retries:
-                    self.retries += 1
-                    self.op_t = t + retry.delay_ps(self.op_attempt)
-                    self.op_attempt += 1
-                    continue
-                self.dropped += 1
-                self.clock = t
-                self._finish_op()
-                continue
-            held = self.replicas.get(line)
-            if held is not None and (not excl or held):
-                self.local_hits += 1
-                latency = 0
-            else:
-                self.global_requests += 1
-                self.remote_accesses += 1
-                self.replicas[line] = excl
-                out.append((t, self.idx, self.seq, line, int(excl)))
-                self.seq += 1
-                latency = self.remote_latency_ps
-            factor = controller.link_factor(key, t)
-            paid = latency if factor == 1.0 else int(round(latency * factor))
-            t += paid
-            if self._corrupt_hit(t):
-                self.corrupted += 1
-                if not controller.degraded:
-                    raise FaultActiveError(
-                        f"message on {key[0]}--{key[1]} corrupted at {t}ps"
-                    )
-                if self.op_redeliver < retry.max_retries:
-                    self.op_redeliver += 1
-                    self.retries += 1
-                    self.op_t = t  # retransmit re-pays another access
-                    continue
-                self.dropped += 1
-                self.clock = t
-                self._finish_op()
-                continue
-            self.accesses += 1
-            self.latency_ps += paid
-            self.completed += 1
-            self._record_completion(t)
-            self.clock = t
-            self._finish_op()
-
-    def _finish_op(self) -> None:
-        self.i += 1
-        self.op_t = None
-
-    def _record_completion(self, t: int) -> None:
-        for j, recovery in enumerate(self.fault.recovery_times):
-            if t >= recovery and (self.min_after[j] < 0 or t < self.min_after[j]):
-                self.min_after[j] = t
 
 
 # ---------------------------------------------------------------------
@@ -400,8 +389,9 @@ def run_windowed_supernode(
     """Run one windowed supernode simulation; returns its finished lanes.
 
     ``per_host_ops`` maps each host (sorted order = lane index order) to
-    its ``(lines, excl, delays)`` arrays — already rebased to system
-    addresses and line-aligned.  Each returned lane's counters
+    its ``(lines, excl, delays)`` arrays — lines already rebased to
+    system addresses and line-aligned, ``excl`` 1 for an exclusive
+    (write) access and 0 for a shared one.  Each returned lane's counters
     (``accesses``, ``remote_accesses``, ``attempted``, ...) and final
     ``clock`` are that host's results.  Under a strict-mode
     ``controller`` an op hitting an active fault raises
@@ -418,20 +408,13 @@ def run_windowed_supernode(
             for e in controller.matched
             if e.recovers_at_ps is not None
         }))
-    lanes: List[_Lane] = []
-    for idx, host in enumerate(hosts):
-        lines, excl, delays = per_host_ops[host]
-        fault = None
-        if controller is not None:
-            fault = _FaultContext(
-                controller=controller,
-                fabric_name=fabric_name,
-                link_key=tuple(sorted((host, fabric_name))),
-                recovery_times=recovery_times,
-            )
-        lanes.append(
-            _Lane(idx, host, lines, excl, delays, latency_table[host], fault)
+    lanes = [
+        _Lane(
+            idx, host, *per_host_ops[host], latency_table[host],
+            controller, fabric_name, recovery_times,
         )
+        for idx, host in enumerate(hosts)
+    ]
     directory = _Directory()
     window_start = 0
     while True:

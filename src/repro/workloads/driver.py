@@ -144,9 +144,12 @@ class WorkloadDriver:
         ``"degraded"`` opts into bounded retry-with-backoff
         (``fault_retries`` retries, ``fault_backoff_ps`` initial
         backoff) followed by count-and-drop, and the measurement grows
-        ``availability``/``recovery``/``lat_p99_ns`` series.  With
-        ``fault=None`` this method is byte-for-byte the historical
-        no-fault path.
+        ``availability``/``recovery``/``lat_p99_ns`` series.  Each issue
+        path (the LSU chain, the legacy supernode loop, the windowed
+        lanes) is one code path with and without a plan: with
+        ``fault=None`` it gets no controller and skips its fault policy
+        at one branch per op, and a plan with no events (``"none"``)
+        issues the same events and yields the same core series.
 
         ``sim_parallel`` selects the supernode model: ``0`` (default)
         keeps the historical single-calendar path and ``1`` runs the
@@ -267,15 +270,12 @@ class WorkloadDriver:
         stats: Dict[int, Dict[str, object]] = {}
         for stream in sorted(chains):
             index = stream % len(lsus)
-            if controller is None:
-                stats[stream] = self._issue_chain(lsus[index], chains[stream])
-            else:
-                stats[stream] = self._issue_chain_faulted(
-                    lsus[index],
-                    chains[stream],
-                    controller,
-                    self._fault_binding(topology, lsu_specs[index]),
-                )
+            binding = ((), ())
+            if controller is not None:
+                binding = self._fault_binding(topology, lsu_specs[index])
+            stats[stream] = self._issue_chain(
+                lsus[index], chains[stream], controller, binding
+            )
         system.sim.run()
 
         series: Dict[str, Dict[str, float]] = {
@@ -364,112 +364,9 @@ class WorkloadDriver:
         return tuple(sorted(nodes)), tuple(sorted(keys))
 
     @staticmethod
-    def _issue_chain_faulted(
-        lsu, ops: List[WorkloadOp], controller, binding
+    def _issue_chain(
+        lsu, ops: List[WorkloadOp], controller=None, binding=((), ())
     ) -> Dict[str, object]:
-        """Fault-aware variant of :meth:`_issue_chain` for one stream.
-
-        With no fault active the chain schedules exactly the same event
-        sequence as the plain chain (the guards are synchronous checks
-        that fall through), so an empty plan reproduces a plain run
-        bit-identically.  When the op's path is faulted: strict mode
-        raises :class:`~repro.faults.controller.FaultActiveError` out
-        of the simulator; degraded mode retries with bounded backoff
-        and finally counts the op as dropped.  Corrupted completions
-        retransmit (re-paying the issue/access/complete pipeline) with
-        the same bound.
-        """
-        from repro.faults.controller import FaultActiveError
-
-        nodes, keys = binding
-        retry = controller.retry
-        stats = controller.stats
-        profile = lsu.profile
-        issue_ps = profile.cycles_ps(profile.lsu_issue_cycles)
-        complete_ps = profile.cycles_ps(profile.lsu_complete_cycles)
-        state: Dict[str, object] = {
-            "latencies": [],
-            "bytes": 0,
-            "first_issue_ps": -1,
-            "last_done_ps": 0,
-            "index": 0,
-            "issued_ps": 0,
-        }
-
-        def issue_next() -> None:
-            if state["index"] >= len(ops):
-                return
-            op = ops[state["index"]]
-            state["index"] += 1
-            # Per-op fault bookkeeping: first-issue time (latency spans
-            # every retry/retransmit), down-retry and retransmit budgets.
-            op_state = {"issued_ps": -1, "attempt": 0, "redeliver": 0}
-
-            def start() -> None:
-                now = lsu.sim.now
-                if op_state["issued_ps"] < 0:
-                    op_state["issued_ps"] = now
-                    if state["first_issue_ps"] < 0:
-                        state["first_issue_ps"] = now
-                    stats.record_attempt()
-                state["issued_ps"] = op_state["issued_ps"]
-                if controller.path_down(nodes, keys, now):
-                    if not controller.degraded:
-                        raise FaultActiveError(
-                            f"{lsu.name}: op {op.kind} @0x{op.addr:x} hit an "
-                            f"active fault at {now}ps (path nodes "
-                            f"{', '.join(nodes)})"
-                        )
-                    if op_state["attempt"] < retry.max_retries:
-                        delay = retry.delay_ps(op_state["attempt"])
-                        op_state["attempt"] += 1
-                        stats.record_retry()
-                        lsu.schedule(delay, start)
-                        return
-                    stats.record_drop()
-                    issue_next()
-                    return
-                if op.kind == "write":
-                    lsu.schedule(issue_ps, lsu.dcoh.write, WINDOW_BASE + op.addr, done)
-                else:
-                    lsu.schedule(issue_ps, lsu.dcoh.read, WINDOW_BASE + op.addr, done)
-
-            def done(_result) -> None:
-                lsu.schedule(complete_ps, finish)
-
-            def finish() -> None:
-                now = lsu.sim.now
-                corrupted = False
-                for key in keys:
-                    corrupted = controller.corrupted(key, now) or corrupted
-                if corrupted:
-                    stats.record_corrupt()
-                    if not controller.degraded:
-                        raise FaultActiveError(
-                            f"{lsu.name}: op {op.kind} @0x{op.addr:x} "
-                            f"corrupted on the wire at {now}ps"
-                        )
-                    if op_state["redeliver"] < retry.max_retries:
-                        op_state["redeliver"] += 1
-                        stats.record_retry()
-                        start()  # retransmit re-pays the whole pipeline
-                        return
-                    stats.record_drop()
-                    issue_next()
-                    return
-                state["latencies"].append(now - op_state["issued_ps"])
-                state["bytes"] += op.size
-                state["last_done_ps"] = now
-                stats.record_completion(now)
-                issue_next()
-
-            lsu.schedule(op.delay_ps, start)
-
-        issue_next()
-        return state
-
-    @staticmethod
-    def _issue_chain(lsu, ops: List[WorkloadOp]) -> Dict[str, object]:
         """Serialized issue chain for one stream on one LSU.
 
         Each op waits its ``delay_ps`` think time after the previous
@@ -477,44 +374,130 @@ class WorkloadDriver:
         DCOH access — the per-op latency excludes the think time.
         Several chains coexist on one simulator (and even one LSU), so
         nothing here drains the engine.
+
+        Under a fault ``controller`` each op checks its path (``binding``,
+        see :meth:`_fault_binding`) at issue and at completion.  With no
+        fault active the checks fall through, so the chain schedules
+        exactly the events of a run without a controller.  When the
+        path is faulted, strict mode raises
+        :class:`~repro.faults.controller.FaultActiveError` out of the
+        simulator; degraded mode retries with bounded backoff and
+        finally counts the op as dropped.  Corrupted completions
+        retransmit (re-paying the issue/access/complete pipeline) with
+        the same bound.
+
+        A chain has one op in flight, so its callbacks are made once
+        per chain and the current op, its first-issue time (latency
+        spans every retry and retransmit) and its retry budgets are
+        chain-level variables: no per-op closure, no per-op garbage.
         """
         profile = lsu.profile
         issue_ps = profile.cycles_ps(profile.lsu_issue_cycles)
         complete_ps = profile.cycles_ps(profile.lsu_complete_cycles)
+        schedule = lsu.schedule
+        sim = lsu.sim
+        latencies: List[int] = []
         state: Dict[str, object] = {
-            "latencies": [],
+            "latencies": latencies,
             "bytes": 0,
             "first_issue_ps": -1,
             "last_done_ps": 0,
-            "index": 0,
-            "issued_ps": 0,
         }
+        index = 0
+        op = None
+        issued_ps = -1
+        attempt = 0  # down-path retries of the current op
+        redeliver = 0  # corrupted-completion retransmits of the current op
+        if controller is not None:
+            from repro.faults.controller import FaultActiveError
+
+            nodes, keys = binding
+            retry = controller.retry
+            stats = controller.stats
 
         def issue_next() -> None:
-            if state["index"] >= len(ops):
+            nonlocal index, op, issued_ps, attempt, redeliver
+            if index >= len(ops):
                 return
-            op = ops[state["index"]]
-            state["index"] += 1
+            op = ops[index]
+            index += 1
+            issued_ps = -1
+            attempt = redeliver = 0
+            schedule(op.delay_ps, start)
 
-            def start() -> None:
-                state["issued_ps"] = lsu.sim.now
+        def start() -> None:
+            nonlocal issued_ps
+            now = sim.now
+            first = issued_ps < 0
+            if first:
+                issued_ps = now
                 if state["first_issue_ps"] < 0:
-                    state["first_issue_ps"] = lsu.sim.now
-                if op.kind == "write":
-                    lsu.schedule(issue_ps, lsu.dcoh.write, WINDOW_BASE + op.addr, done)
-                else:
-                    lsu.schedule(issue_ps, lsu.dcoh.read, WINDOW_BASE + op.addr, done)
+                    state["first_issue_ps"] = now
+            if controller is not None and blocked(now, first):
+                return
+            if op.kind == "write":
+                schedule(issue_ps, lsu.dcoh.write, WINDOW_BASE + op.addr, done)
+            else:
+                schedule(issue_ps, lsu.dcoh.read, WINDOW_BASE + op.addr, done)
 
-            def done(_result) -> None:
-                lsu.schedule(complete_ps, finish)
+        def done(_result) -> None:
+            schedule(complete_ps, finish)
 
-            def finish() -> None:
-                state["latencies"].append(lsu.sim.now - state["issued_ps"])
-                state["bytes"] += op.size
-                state["last_done_ps"] = lsu.sim.now
+        def finish() -> None:
+            now = sim.now
+            if controller is not None and not delivered(now):
+                return
+            latencies.append(now - issued_ps)
+            state["bytes"] += op.size
+            state["last_done_ps"] = now
+            issue_next()
+
+        def blocked(now: int, first: bool) -> bool:
+            """Count the attempt; retry or drop the op if its path is down."""
+            nonlocal attempt
+            if first:
+                stats.record_attempt()
+            if not controller.path_down(nodes, keys, now):
+                return False
+            if not controller.degraded:
+                raise FaultActiveError(
+                    f"{lsu.name}: op {op.kind} @0x{op.addr:x} hit an "
+                    f"active fault at {now}ps (path nodes "
+                    f"{', '.join(nodes)})"
+                )
+            if attempt < retry.max_retries:
+                delay = retry.delay_ps(attempt)
+                attempt += 1
+                stats.record_retry()
+                schedule(delay, start)
+            else:
+                stats.record_drop()
                 issue_next()
+            return True
 
-            lsu.schedule(op.delay_ps, start)
+        def delivered(now: int) -> bool:
+            """Count a clean completion; retransmit or drop a corrupt one."""
+            nonlocal redeliver
+            corrupted = False
+            for key in keys:
+                corrupted = controller.corrupted(key, now) or corrupted
+            if not corrupted:
+                stats.record_completion(now)
+                return True
+            stats.record_corrupt()
+            if not controller.degraded:
+                raise FaultActiveError(
+                    f"{lsu.name}: op {op.kind} @0x{op.addr:x} "
+                    f"corrupted on the wire at {now}ps"
+                )
+            if redeliver < retry.max_retries:
+                redeliver += 1
+                stats.record_retry()
+                start()  # retransmit re-pays the whole pipeline
+            else:
+                stats.record_drop()
+                issue_next()
+            return False
 
         issue_next()
         return state
@@ -526,24 +509,34 @@ class WorkloadDriver:
     def _drive_supernode(
         system, topology: Topology, ops: List[WorkloadOp], controller=None
     ) -> Dict[str, Dict[str, float]]:
+        """Issue coherent ops one at a time through the legacy model.
+
+        One op loop serves runs with and without a fault ``controller``;
+        under one, each op goes through
+        :meth:`_supernode_fault_policy`.
+        """
         fabric_name = topology.by_kind("supernode.fabric")[0].name
         supernode = system.node(fabric_name)
         hosts = sorted(supernode.hosts)
         per_host: Dict[str, Dict[str, float]] = {
             host: {"accesses": 0.0, "latency_ps": 0.0} for host in hosts
         }
-        if controller is None:
-            for op in ops:
-                host = hosts[op.stream % len(hosts)]
+        if controller is not None:
+            faulted_access = WorkloadDriver._supernode_fault_policy(
+                supernode, fabric_name, controller
+            )
+        for op in ops:
+            host = hosts[op.stream % len(hosts)]
+            if controller is None:
                 latency = supernode.coherent_access(
                     host, WINDOW_BASE + op.addr, exclusive=op.kind == "write"
                 )
-                per_host[host]["accesses"] += 1.0
-                per_host[host]["latency_ps"] += float(latency)
-        else:
-            WorkloadDriver._drive_supernode_faulted(
-                supernode, fabric_name, topology, ops, controller, per_host
-            )
+            else:
+                latency = faulted_access(host, op)
+                if latency is None:  # dropped
+                    continue
+            per_host[host]["accesses"] += 1.0
+            per_host[host]["latency_ps"] += float(latency)
 
         series: Dict[str, Dict[str, float]] = {
             "accesses": {},
@@ -587,37 +580,35 @@ class WorkloadDriver:
         return series
 
     @staticmethod
-    def _drive_supernode_faulted(
-        supernode, fabric_name: str, topology: Topology,
-        ops: List[WorkloadOp], controller, per_host,
-    ) -> None:
-        """Issue coherent ops under a fault plan, on a virtual clock.
+    def _supernode_fault_policy(supernode, fabric_name: str, controller):
+        """Fault-aware issue of one supernode op, on a virtual clock.
 
-        Supernode accesses are synchronous, so fault windows are
-        evaluated against an accumulated clock (think time + paid
-        fabric latency + a fixed issue gap).  Down hosts NAK via
+        Returns ``access(host, op)``, which issues ``op`` from ``host``
+        and returns its paid latency, or ``None`` once the op is
+        dropped.  Supernode accesses are synchronous, so fault
+        windows are evaluated against an accumulated clock (think time +
+        paid fabric latency + a fixed issue gap) kept in
+        ``controller.end_ps``.  Down hosts NAK via
         :class:`~repro.core.supernode.HostDownError`; flapped links and
         a downed fabric raise
         :class:`~repro.faults.controller.FaultActiveError`; degraded
         mode turns both into bounded retry-with-backoff then drop.
-        With an empty plan every op takes the plain path and pays
-        exactly the plain latency, so the core series stay
-        bit-identical to a no-fault run.
+        With an empty plan every op pays exactly the plain latency, so
+        the core series stay bit-identical to a no-fault run.
         """
         from repro.core.supernode import HostDownError
         from repro.faults.controller import FaultActiveError
 
-        hosts = sorted(supernode.hosts)
         keys = {
-            host: tuple(sorted((host, fabric_name))) for host in hosts
+            host: tuple(sorted((host, fabric_name)))
+            for host in supernode.hosts
         }
         retry = controller.retry
         stats = controller.stats
-        t = 0
-        for op in ops:
-            host = hosts[op.stream % len(hosts)]
+
+        def access(host: str, op: WorkloadOp) -> Optional[int]:
             key = keys[host]
-            t += op.delay_ps + SUPERNODE_ISSUE_GAP_PS
+            t = controller.end_ps + op.delay_ps + SUPERNODE_ISSUE_GAP_PS
             stats.record_attempt()
             attempt = 0
             redeliver = 0
@@ -643,7 +634,8 @@ class WorkloadDriver:
                         attempt += 1
                         continue
                     stats.record_drop()
-                    break
+                    controller.end_ps = t
+                    return None
                 factor = controller.link_factor(key, t)
                 paid = latency if factor == 1.0 else int(round(latency * factor))
                 t += paid
@@ -658,12 +650,13 @@ class WorkloadDriver:
                         stats.record_retry()
                         continue  # retransmit pays another access
                     stats.record_drop()
-                    break
-                per_host[host]["accesses"] += 1.0
-                per_host[host]["latency_ps"] += float(paid)
+                    controller.end_ps = t
+                    return None
                 stats.record_completion(t)
-                break
-        controller.end_ps = t
+                controller.end_ps = t
+                return paid
+
+        return access
 
     @staticmethod
     def _drive_supernode_windowed(
@@ -672,9 +665,10 @@ class WorkloadDriver:
         """Drive coherent traffic through the windowed conservative model.
 
         The batch is split into per-host substreams with array ops and
-        handed to :func:`repro.sim.parallel.run_windowed_supernode`;
-        the series are rebuilt from the per-lane counters (the lanes
-        never touch the shared supernode objects).
+        handed to :func:`repro.sim.parallel.run_windowed_supernode`,
+        whose one window step serves runs with and without a fault
+        ``controller``; the series are rebuilt from the per-lane
+        counters (the lanes never touch the shared supernode objects).
         """
         fabric_name = topology.by_kind("supernode.fabric")[0].name
         supernode = system.node(fabric_name)

@@ -14,6 +14,7 @@ The regression contract under test, in rising order of integration:
   faults package leaves ``repro run all`` byte-identical.
 """
 
+import gc
 import json
 import subprocess
 import sys
@@ -343,6 +344,26 @@ def test_fault_none_is_bit_identical_to_plain_run_fanout():
     assert core_series(plain) == core_series(faulted)
     assert faulted.series["availability"]["rate"] == 1.0
     assert faulted.series["recovery"]["matched_events"] == 0.0
+
+
+def _cycle_garbage(**kwargs):
+    """Objects ``gc.collect()`` frees after one 800-op LSU run."""
+    gc.collect()
+    gc.disable()
+    try:
+        fpga_driver().run("zipf(800,1.2)", topology="fanout-2", **kwargs)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_fault_aware_issue_chain_leaves_no_per_op_cycle_garbage():
+    # A fault-aware chain must cost a plain run nothing per op: any
+    # per-op reference cycle (say, a closure that reschedules itself)
+    # would grow this gap with the op count.
+    plain = _cycle_garbage()
+    faulted = _cycle_garbage(fault="none", fault_mode="degraded")
+    assert faulted - plain < 100, (plain, faulted)
 
 
 def test_fault_none_is_bit_identical_to_plain_run_supernode():
