@@ -1,7 +1,7 @@
-"""Example: live run status over a queue-backend sweep.
+"""Example: live run status over a parallel sweep.
 
-Launches a small sweep on the durable work queue in a background
-thread, then polls ``collect_status`` while workers drain it — the same
+Launches a small two-worker sweep, which runs on the durable work
+queue, in a background thread, then polls ``collect_status`` while workers drain it — the same
 loop ``repro status <run-dir> --watch`` runs — and finishes by
 exporting the run's Chrome trace timeline (load it in
 https://ui.perfetto.dev).
@@ -38,7 +38,7 @@ def main() -> None:
         worker = threading.Thread(
             target=run_sweep,
             args=(sweep, run_dir),
-            kwargs={"backend": "queue", "jobs": 2},
+            kwargs={"jobs": 2},
         )
         worker.start()
 

@@ -21,11 +21,11 @@ Usage::
     python -m repro fault validate examples/faults/*.json
     python -m repro sweep --preset quick --jobs 4
     python -m repro sweep workload-mix --sim-parallel 1
-    python -m repro sweep fault-tolerance --backend serial
-    python -m repro sweep --preset quick --backend queue --max-retries 4
+    python -m repro sweep fault-tolerance --jobs 1
+    python -m repro sweep --preset quick --jobs 2 --max-retries 4
     python -m repro sweep topology-scale --jobs 2
     python -m repro sweep my_sweep.json --out runs/mine
-    python -m repro sweep --preset quick --backend queue --jobs 2
+    python -m repro sweep --preset quick --jobs 0
     python -m repro worker runs/quick
     python -m repro status runs/quick
     python -m repro status runs/quick --watch 2
@@ -337,6 +337,7 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> int:
         PRESETS,
         SpecError,
         SweepSpec,
+        default_jobs,
         preset_sweep,
         run_sweep,
     )
@@ -346,37 +347,32 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> int:
         out.write("sweep needs exactly one of: a spec file, or --preset NAME\n")
         out.write(f"presets: {', '.join(sorted(PRESETS))}\n")
         return 2
-    backend = args.backend
-    retry_flags = (
-        args.max_retries is not None or args.retry_backoff_s is not None
-    )
-    if retry_flags:
-        if args.max_retries is not None and args.max_retries < 0:
-            out.write(f"--max-retries must be >= 0, got {args.max_retries}\n")
-            return 2
-        if args.retry_backoff_s is not None and args.retry_backoff_s < 0:
-            out.write(
-                f"--retry-backoff-s must be >= 0, got {args.retry_backoff_s:g}\n"
-            )
-            return 2
-        if args.backend not in (None, "queue"):
-            out.write(
-                "--max-retries/--retry-backoff-s require the durable work "
-                f"queue (--backend queue), not {args.backend!r}\n"
-            )
-            return 2
-        from repro.experiments.exec import QueueBackend
-
-        # max_attempts counts the first try; N retries = N+1 attempts.
-        backend = QueueBackend(
-            max_attempts=(
-                args.max_retries + 1 if args.max_retries is not None else 3
-            ),
-            backoff_s=(
-                args.retry_backoff_s if args.retry_backoff_s is not None
-                else 0.5
-            ),
+    if args.jobs is not None and args.jobs < 0:
+        out.write(f"--jobs must be >= 0, got {args.jobs}\n")
+        return 2
+    if args.max_retries is not None and args.max_retries < 0:
+        out.write(f"--max-retries must be >= 0, got {args.max_retries}\n")
+        return 2
+    if args.retry_backoff_s is not None and args.retry_backoff_s < 0:
+        out.write(
+            f"--retry-backoff-s must be >= 0, got {args.retry_backoff_s:g}\n"
         )
+        return 2
+    jobs = args.jobs if args.jobs is not None else default_jobs()
+    retries = {
+        key: value
+        for key, value in (
+            ("max_retries", args.max_retries),
+            ("retry_backoff_s", args.retry_backoff_s),
+        )
+        if value is not None
+    }
+    if retries and jobs == 1:
+        out.write(
+            "--max-retries/--retry-backoff-s need a parallel sweep through "
+            "the work queue (--jobs other than 1)\n"
+        )
+        return 2
     try:
         if args.preset:
             sweep = preset_sweep(args.preset)
@@ -406,13 +402,13 @@ def _cmd_sweep(args: argparse.Namespace, out: IO[str]) -> int:
         outcome = run_sweep(
             sweep,
             out_dir,
-            jobs=args.jobs,
+            jobs=jobs,
             force=args.force,
             progress=lambda line: out.write(line + "\n"),
-            backend=backend,
             repeats=args.repeats,
             telemetry=not args.no_telemetry,
             profile=args.profile,
+            **retries,
         )
     except (SpecError, LockHeldError) as exc:
         out.write(f"{exc}\n")
@@ -469,7 +465,7 @@ def _cmd_worker(args: argparse.Namespace, out: IO[str]) -> int:
     except QueueError as exc:
         out.write(f"{exc}\n")
         out.write(
-            "start the scheduler first: repro sweep ... --backend queue "
+            "start the scheduler first: repro sweep ... --jobs 0 "
             f"--out {args.run_dir} (or raise --wait-s)\n"
         )
         return 2
@@ -687,25 +683,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", help="run directory for results (default: runs/<sweep name>)"
     )
     sweep.add_argument(
-        "--jobs", type=int, default=None, help="parallel workers (default: auto)"
+        "--jobs", type=int, default=None,
+        help="local workers (default: CPU count, at most 8); 1 runs "
+        "specs in this process, any other count through a durable work "
+        "queue that 'repro worker' processes can join (0: external "
+        "workers only)",
     )
     sweep.add_argument(
         "--force", action="store_true", help="re-run specs even when cached"
     )
     sweep.add_argument(
-        "--backend", choices=["serial", "pool", "queue"], default=None,
-        help="executor backend (default: pool; 'queue' writes a durable "
-        "work queue that 'repro worker' processes can join)",
-    )
-    sweep.add_argument(
         "--max-retries", type=int, default=None,
         help="re-attempts per failed spec before it is marked failed "
-        "(queue backend only; default 2)",
+        "(parallel sweeps only; default 2)",
     )
     sweep.add_argument(
         "--retry-backoff-s", type=float, default=None,
         help="base exponential backoff between spec attempts in seconds "
-        "(queue backend only; default 0.5)",
+        "(parallel sweeps only; default 0.5)",
     )
     sweep.add_argument(
         "--sim-parallel", type=int, choices=(0, 1), default=None,
@@ -744,11 +739,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "worker",
-        help="join a queue-backend sweep: lease specs from a run "
+        help="join a parallel sweep: lease specs from a run "
         "directory's work queue until it drains",
     )
     worker.add_argument(
-        "run_dir", help="run directory of a sweep started with --backend queue"
+        "run_dir",
+        help="run directory of a sweep started with --jobs other than 1",
     )
     worker.add_argument(
         "--worker-id", help="lease owner label (default: <host>-<pid>)"

@@ -6,10 +6,11 @@ Layers (each its own module):
 * :mod:`repro.experiments.spec` — ``ExperimentSpec``/``SweepSpec``
   declarative descriptions with grid expansion and content hashing.
 * :mod:`repro.experiments.runner` — the sweep scheduler: expansion,
-  result cache, per-spec seeding, and dispatch to an executor backend.
+  result cache, per-spec seeding, and the in-process loop; parallel
+  sweeps go through the work queue.
 * :mod:`repro.experiments.exec` — the distributed execution subsystem:
-  advisory locks, the durable work queue, the worker loop behind
-  ``repro worker``, and the ``serial``/``pool``/``queue`` backends.
+  advisory locks, the durable work queue every parallel sweep runs
+  through, and the worker loop behind ``repro worker``.
 * :mod:`repro.experiments.store` — sharded JSONL ``ResultStore``
   persisting every result with spec hash, wall time, git metadata,
   and per-shard indexes for streaming aggregation.
@@ -53,12 +54,9 @@ from repro.experiments.store import (
     StoredResult,
 )
 from repro.experiments.exec import (
-    EXECUTORS,
     QueueError,
-    UnknownExecutorError,
     WorkQueue,
     WorkerOutcome,
-    executor_by_name,
     run_worker,
 )
 
@@ -83,11 +81,8 @@ __all__ = [
     "ResultStore",
     "StoreCorruptionWarning",
     "StoredResult",
-    "EXECUTORS",
     "QueueError",
-    "UnknownExecutorError",
     "WorkQueue",
     "WorkerOutcome",
-    "executor_by_name",
     "run_worker",
 ]

@@ -1,20 +1,19 @@
 """Distributed sweep execution.
 
-The pieces behind ``run_sweep``'s pluggable execution:
+The pieces behind every parallel ``run_sweep``:
 
 * :mod:`~repro.experiments.exec.locks` — advisory lockfiles with
   heartbeats and stale takeover (run-level writer lock, per-shard
   append locks).
 * :mod:`~repro.experiments.exec.queue` — the durable on-disk work
-  queue (leases, heartbeats, retry-with-backoff, done markers).
+  queue (leases, heartbeats, retry-with-backoff, done markers) and the
+  scheduler's drain loop over it.
 * :mod:`~repro.experiments.exec.worker` — the worker loop behind both
   locally spawned workers and the ``repro worker <run-dir>`` CLI.
-* :mod:`~repro.experiments.exec.backends` — the executor registry:
-  ``serial``, ``pool`` (default), and ``queue``.
 
-``worker`` and ``backends`` import the result store (which itself uses
-``locks``), so their names resolve lazily here to keep the package
-import-order agnostic.
+``worker`` imports the result store (which itself uses ``locks``), so
+its names resolve lazily here to keep the package import-order
+agnostic.
 """
 
 import importlib
@@ -30,15 +29,6 @@ from repro.experiments.exec.queue import (
 _LAZY = {
     "WorkerOutcome": "worker",
     "run_worker": "worker",
-    "EXECUTORS": "backends",
-    "ExecutionContext": "backends",
-    "ExecutorBackend": "backends",
-    "ExecutorError": "backends",
-    "PoolBackend": "backends",
-    "QueueBackend": "backends",
-    "SerialBackend": "backends",
-    "UnknownExecutorError": "backends",
-    "executor_by_name": "backends",
 }
 
 __all__ = [

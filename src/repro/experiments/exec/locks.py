@@ -1,8 +1,8 @@
 """Advisory file locks for run directories and result shards.
 
 A lock is a plain lockfile created with ``O_EXCL`` (atomic on POSIX
-local filesystems and adequate over the shared filesystems the queue
-backend targets): existence means held.  The holder may
+local filesystems and adequate over the shared filesystems the work
+queue targets): existence means held.  The holder may
 :meth:`FileLock.refresh` the file's mtime as a heartbeat; acquirers
 treat a lockfile whose mtime is older than ``stale_after_s`` as
 abandoned by a crashed holder and take it over.  This is *advisory*
@@ -66,9 +66,12 @@ class FileLock:
 
         A stale lockfile (no heartbeat for ``stale_after_s``) is removed
         and taken over immediately.  Raises :class:`LockHeldError` when
-        a live holder outlasts the wait budget.
+        a live holder outlasts the wait budget.  Retries back off from
+        1 ms up to ``poll_s``, so a waiter behind a short hold (a shard
+        append) gets in within a millisecond or two.
         """
         deadline = time.monotonic() + wait_s
+        delay = 0.001
         payload = json.dumps(
             {"owner": self.owner, "pid": os.getpid(), "acquired": time.time()}
         )
@@ -90,7 +93,8 @@ class FileLock:
                         f"lock {self.path} held by "
                         f"{self.holder() or 'unknown owner'}"
                     ) from None
-                time.sleep(poll_s)
+                time.sleep(delay)
+                delay = min(delay * 2, poll_s)
                 continue
             with os.fdopen(fd, "w") as fh:
                 fh.write(payload)

@@ -1,20 +1,23 @@
-"""Durable on-disk work queue for distributed sweep execution.
+"""Durable on-disk work queue: the executor of every parallel sweep.
 
-The scheduler (:func:`repro.experiments.runner.run_sweep` with the
-``queue`` backend) persists every pending spec payload under the run
-directory; worker processes — local children or ``repro worker``
-processes on any host sharing the filesystem — *lease* specs one at a
-time, heartbeat while executing, and mark them done with the persisted
-record.  Crashed workers stop heartbeating, their leases go stale, and
-the specs requeue; ``"error"`` specs retry with exponential backoff up
-to a bounded attempt budget before the failure is persisted for real.
+The scheduler (:func:`repro.experiments.runner.run_sweep` with
+``jobs != 1``) persists every pending spec payload under the run
+directory and drains the queue with :meth:`WorkQueue.drain`; worker
+processes — local children or ``repro worker`` processes on any host
+sharing the filesystem — *lease* specs one at a time, heartbeat while
+executing, and mark them done with the persisted record.  Crashed
+workers stop heartbeating, their leases go stale, and the specs
+requeue; ``"error"`` specs retry with exponential backoff up to a
+bounded attempt budget before the failure is persisted for real.
 
 Layout inside ``<run-dir>/queue/``::
 
     meta.json        scheduler-written config (sweep name, git
                      metadata, retry/lease budgets)
-    tasks/<hash>.json    one pending spec payload (+ attempt count,
-                         earliest-retry timestamp)
+    tasks/<seq>-<hash>.json  one pending spec payload (+ attempt count,
+                             earliest-retry timestamp); the zero-padded
+                             sweep-expansion index ``seq`` makes workers
+                             claim specs in expansion order
     leases/<hash>.json   live claim; mtime is the worker heartbeat
     done/<hash>.json     completed spec's full stored record
 
@@ -25,18 +28,25 @@ of workers can cooperate without a coordinator process.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import shutil
 import time
 from dataclasses import asdict, dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import AbstractSet, Dict, Iterator, List, Optional, Tuple, Union
 
 QUEUE_DIR = "queue"
 
+#: Longest the scheduler sleeps between scans of ``done/``; a local
+#: worker exiting wakes it at once.
+POLL_S = 0.05
+
 
 class QueueError(RuntimeError):
-    """The work queue is missing, torn down, or malformed."""
+    """The work queue is missing, torn down, malformed, or lost every
+    local worker before it drained."""
 
 
 @dataclass
@@ -58,8 +68,25 @@ class ClaimedTask:
     """One leased spec: payload plus its retry history."""
 
     spec_hash: str
+    #: Task file stem, ``<seq>-<spec hash>``.
+    name: str
     payload: Dict[str, object]
     attempts: int = 0
+
+
+def process_context():
+    """Prefer fork (shares the warmed interpreter); fall back to spawn."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")
+
+
+def _local_worker_entry(run_dir: str, worker_id: str) -> None:
+    """Child-process entry point (top-level so spawn can pickle it)."""
+    from repro.experiments.exec.worker import run_worker
+
+    run_worker(run_dir, worker_id=worker_id)
 
 
 class WorkQueue:
@@ -92,7 +119,7 @@ class WorkQueue:
     def create(
         self, payloads: List[Dict[str, object]], config: QueueConfig
     ) -> None:
-        """(Re)populate the queue with ``payloads``.
+        """(Re)populate the queue with ``payloads``, claimable in order.
 
         Any leftover state from an interrupted run is wiped first:
         completed specs live on in the result store (and are therefore
@@ -102,11 +129,11 @@ class WorkQueue:
         self.destroy()
         for sub in (self.tasks_dir, self.leases_dir, self.done_dir):
             sub.mkdir(parents=True, exist_ok=True)
-        for payload in payloads:
+        width = len(str(len(payloads)))
+        for seq, payload in enumerate(payloads):
             task = {"payload": payload, "attempts": 0, "not_before": 0.0}
-            self._write_atomic(
-                self.tasks_dir / f"{payload['spec_hash']}.json", task
-            )
+            name = f"{seq:0{width}d}-{payload['spec_hash']}.json"
+            self._write_atomic(self.tasks_dir / name, task)
         # meta.json lands last: workers treat its presence as "queue
         # open for business", so they never observe a half-built queue.
         self._write_atomic(self.meta_path, asdict(config))
@@ -115,19 +142,87 @@ class WorkQueue:
         if self.root.is_dir():
             shutil.rmtree(self.root, ignore_errors=True)
 
+    def drain(
+        self,
+        payloads: List[Dict[str, object]],
+        config: QueueConfig,
+        jobs: int,
+    ) -> Iterator[Dict[str, object]]:
+        """Queue ``payloads`` and yield each stored record as it lands.
+
+        Spawns ``min(jobs, len(payloads))`` local worker processes
+        (zero is valid: external ``repro worker`` processes then supply
+        all the labour), requeues stale leases while waiting, and tears
+        the queue down once every spec is done.  Records are yielded
+        after the workers persisted them to the run's result store.
+        """
+        self.create(payloads, config)
+        mp = process_context()
+        workers = [
+            mp.Process(
+                target=_local_worker_entry,
+                args=(str(self.run_dir), f"local-{i}"),
+                daemon=True,
+            )
+            for i in range(min(jobs, len(payloads)))
+        ]
+        for worker in workers:
+            worker.start()
+        pending = {str(p["spec_hash"]) for p in payloads}
+        seen: set = set()
+        dead_rescans = 0
+        try:
+            while seen != pending:
+                fresh = [
+                    (spec_hash, record)
+                    for spec_hash, record in self.done_records(skip=seen)
+                    if spec_hash in pending
+                ]
+                for spec_hash, record in fresh:
+                    seen.add(spec_hash)
+                    yield record
+                if fresh:
+                    continue
+                self.requeue_stale(config.lease_timeout_s)
+                alive = [w.sentinel for w in workers if w.is_alive()]
+                if workers and not alive:
+                    # A worker's final done marker is written before it
+                    # exits, so grant one rescan to absorb the race.
+                    # With zero local workers we instead wait
+                    # indefinitely for external ``repro worker``s; with
+                    # local workers, all of them gone and nothing left
+                    # to observe means the queue was lost (e.g. the run
+                    # dir vanished) — fail loud rather than spin.
+                    if dead_rescans:
+                        raise QueueError(
+                            f"all {len(workers)} queue worker(s) exited "
+                            f"with {len(pending) - len(seen)} spec(s) "
+                            f"outstanding"
+                        )
+                    dead_rescans += 1
+                else:
+                    wait(alive, timeout=POLL_S)
+        finally:
+            for worker in workers:
+                if worker.is_alive():
+                    worker.terminate()
+                worker.join()
+        self.destroy()
+
     def requeue_stale(self, lease_timeout_s: float) -> List[str]:
         """Drop leases whose heartbeat stopped; their specs become
         claimable again.  Returns the requeued spec hashes."""
         requeued = []
         now = time.time()
-        for lease in self._listdir(self.leases_dir):
+        for name in self._listdir(self.leases_dir):
+            lease = self.leases_dir / name
             try:
                 age = now - lease.stat().st_mtime
             except OSError:
                 continue
             if age <= lease_timeout_s:
                 continue
-            if not (self.tasks_dir / lease.name).is_file():
+            if (self.done_dir / name).is_file():
                 continue  # completed concurrently; lease is vestigial
             try:
                 lease.unlink()
@@ -136,12 +231,18 @@ class WorkQueue:
             requeued.append(lease.stem)
         return requeued
 
-    def done_records(self) -> Iterator[Tuple[str, Dict[str, object]]]:
-        """Yield ``(spec_hash, stored-record dict)`` per done marker."""
-        for path in self._listdir(self.done_dir):
-            record = self._read_json(path)
+    def done_records(
+        self, skip: AbstractSet[str] = frozenset()
+    ) -> Iterator[Tuple[str, Dict[str, object]]]:
+        """Yield ``(spec_hash, stored-record dict)`` per done marker
+        whose spec hash is not in ``skip`` (checked before reading)."""
+        for name in self._listdir(self.done_dir):
+            spec_hash = name[: -len(".json")]
+            if spec_hash in skip:
+                continue
+            record = self._read_json(self.done_dir / name)
             if record is not None:
-                yield path.stem, record
+                yield spec_hash, record
 
     # --------------------------- worker side --------------------------
     def load_config(self) -> QueueConfig:
@@ -161,21 +262,22 @@ class WorkQueue:
         for one spec resolve to exactly one winner.
         """
         now = time.time()
-        for task_path in self._listdir(self.tasks_dir):
-            task = self._read_json(task_path)
+        for name in self._listdir(self.tasks_dir):
+            stem = name[: -len(".json")]
+            spec_hash = stem.partition("-")[2]
+            lease_path = self.leases_dir / f"{spec_hash}.json"
+            try:
+                lease_age = now - lease_path.stat().st_mtime
+            except OSError:
+                lease_age = None  # not leased
+            if lease_age is not None and lease_age <= lease_timeout_s:
+                continue  # a live worker owns it
+            task = self._read_json(self.tasks_dir / name)
             if task is None:  # completed/rewritten under our feet
                 continue
             if float(task.get("not_before", 0.0)) > now:
                 continue
-            spec_hash = task_path.stem
-            lease_path = self.leases_dir / f"{spec_hash}.json"
-            if lease_path.is_file():
-                try:
-                    age = now - lease_path.stat().st_mtime
-                except OSError:
-                    age = 0.0
-                if age <= lease_timeout_s:
-                    continue
+            if lease_age is not None:
                 try:  # stale: evict the dead worker's lease
                     lease_path.unlink()
                 except OSError:
@@ -192,6 +294,7 @@ class WorkQueue:
                 fh.write(json.dumps({"owner": owner, "acquired": now}))
             return ClaimedTask(
                 spec_hash=spec_hash,
+                name=stem,
                 payload=dict(task["payload"]),
                 attempts=int(task.get("attempts", 0)),
             )
@@ -210,7 +313,7 @@ class WorkQueue:
         """
         delay = backoff_s * (2 ** task.attempts)
         self._write_atomic(
-            self.tasks_dir / f"{task.spec_hash}.json",
+            self.tasks_dir / f"{task.name}.json",
             {
                 "payload": task.payload,
                 "attempts": task.attempts + 1,
@@ -224,7 +327,7 @@ class WorkQueue:
         """Mark a spec done (record already persisted to the store)."""
         self._write_atomic(self.done_dir / f"{task.spec_hash}.json", record)
         try:
-            (self.tasks_dir / f"{task.spec_hash}.json").unlink()
+            (self.tasks_dir / f"{task.name}.json").unlink()
         except OSError:
             pass
         self._release(task)
@@ -241,11 +344,13 @@ class WorkQueue:
             pass
 
     @staticmethod
-    def _listdir(directory: Path) -> List[Path]:
+    def _listdir(directory: Path) -> List[str]:
+        """Sorted ``*.json`` file names in ``directory`` (none if gone)."""
         try:
-            return sorted(p for p in directory.iterdir() if p.suffix == ".json")
+            names = os.listdir(directory)
         except OSError:
             return []
+        return sorted(name for name in names if name.endswith(".json"))
 
     @staticmethod
     def _read_json(path: Path) -> Optional[Dict[str, object]]:

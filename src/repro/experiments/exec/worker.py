@@ -1,7 +1,7 @@
 """Sweep worker: lease specs from a run directory's queue and execute.
 
-``run_worker`` is the loop behind both the local worker processes the
-``queue`` backend spawns and the ``repro worker <run-dir>`` CLI (which
+``run_worker`` is the loop behind both the local worker processes a
+parallel sweep spawns and the ``repro worker <run-dir>`` CLI (which
 can join from any host sharing the run directory's filesystem).  Each
 iteration leases one spec, heartbeats the lease while the experiment
 runs, then either buffers the finished record for a batched append
@@ -25,7 +25,7 @@ import os
 import socket
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Union
 
@@ -171,7 +171,7 @@ def run_worker(
             return
         store.append_many([record for _, record in pending])
         for task, record in pending:
-            queue.complete(task, asdict(record))
+            queue.complete(task, vars(record))
             outcome.executed.append(record)
         pending.clear()
 

@@ -158,10 +158,10 @@ class RunReport:
 
     @cached_property
     def worker_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-worker throughput for queue-backend runs.
+        """Per-worker throughput for runs through the work queue.
 
         Keyed by worker id (records carry one only when a queue worker
-        wrote them — serial/process-backend runs report nothing here).
+        wrote them — sweeps run in process report nothing here).
         ``specs`` counts this worker's newest-per-spec records,
         ``wall_s`` sums their execution time, and the ``*_per_sec``
         rates divide by that busy time — i.e. throughput while

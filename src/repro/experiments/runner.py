@@ -1,35 +1,30 @@
-"""Sweep scheduler: expand, cache-check, dispatch to an executor backend.
+"""Sweep scheduler: expand, cache-check, then run in process or queue.
 
-:func:`run_sweep` is a thin scheduler over
-:mod:`repro.experiments.exec`: it expands the
-:class:`~repro.experiments.spec.SweepSpec`, collapses duplicates,
-consults the run directory's sharded :class:`ResultStore` for specs
-whose content hash already has a successful record (the cache), takes
-the run-level writer lock, and hands the pending payloads to the chosen
-:class:`~repro.experiments.exec.backends.ExecutorBackend` — ``serial``,
-``pool`` (the historical fork pool, the default), or ``queue`` (the
-durable work queue that ``repro worker`` processes can join from any
-host sharing the filesystem).  Every backend persists records as they
-land, so an interrupted sweep resumes without re-executing completed
-specs, and failures stay isolated per spec.
+:func:`run_sweep` expands the :class:`~repro.experiments.spec.SweepSpec`,
+collapses duplicates, consults the run directory's sharded
+:class:`ResultStore` for specs whose content hash already has a
+successful record (the cache), takes the run-level writer lock, and
+runs the pending specs one of two ways, chosen by ``jobs`` alone: in
+the calling process, one at a time (``jobs == 1``, or a single pending
+spec), or through the durable work queue of
+:mod:`repro.experiments.exec.queue` with ``jobs`` local workers, which
+``repro worker`` processes can join from any host sharing the
+filesystem.  Both paths persist records as they land, so an
+interrupted sweep resumes without re-executing completed specs, and
+failures stay isolated per spec.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
-from repro.experiments.exec.backends import (
-    ExecutionContext,
-    ExecutorBackend,
-    executor_by_name,
-)
+from repro.experiments.exec.queue import QueueConfig, WorkQueue
 from repro.experiments.spec import ExperimentSpec, SpecError, SweepSpec
 from repro.experiments.store import ResultStore, StoredResult, git_metadata
 
@@ -42,7 +37,8 @@ class SweepOutcome:
     out_dir: Path
     executed: List[StoredResult] = field(default_factory=list)
     cached: int = 0
-    backend: str = "pool"
+    #: ``"serial"`` (in process) or ``"queue"``; the telemetry name.
+    backend: str = "serial"
 
     @property
     def failed(self) -> List[StoredResult]:
@@ -62,8 +58,8 @@ def _execute_spec(payload: Dict[str, object]) -> Dict[str, object]:
 
     Top-level (picklable) so it works under both fork and spawn start
     methods.  Returns a partial :class:`StoredResult` dict; the caller
-    (backend or queue worker) adds timestamps and git metadata before
-    persisting.
+    (the in-process loop or a queue worker) adds timestamps and git
+    metadata before persisting.
 
     The global ``random`` module is seeded from the spec for any
     experiment that consumes ambient randomness; note the current
@@ -117,7 +113,7 @@ def _execute_spec(payload: Dict[str, object]) -> Dict[str, object]:
 
             _engine.set_profiler(None)
             record["profile"] = profiler.to_dict()
-        # The serial path runs in the caller's process: leave its
+        # The in-process loop runs in the caller's process: leave its
         # global RNG stream the way we found it.
         random.setstate(rng_state)
     record["wall_time_s"] = time.perf_counter() - start
@@ -125,29 +121,10 @@ def _execute_spec(payload: Dict[str, object]) -> Dict[str, object]:
 
 
 def default_jobs() -> int:
-    """Worker count when ``--jobs`` is not given.
-
-    ``REPRO_JOBS`` overrides (uncapped, like an explicit ``--jobs``);
-    otherwise the CPU count, soft-capped at 8 so a sweep on a large
-    shared box does not monopolise it by default.
-    """
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"REPRO_JOBS must be an integer, got {env!r}"
-            ) from None
+    """Worker count when ``--jobs`` is not given: the CPU count,
+    soft-capped at 8 so a sweep on a large shared box does not
+    monopolise it by default."""
     return max(1, min(8, os.cpu_count() or 1))
-
-
-def _pool_context():
-    """Prefer fork (shares the warmed interpreter); fall back to spawn."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context("spawn")
 
 
 def run_sweep(
@@ -156,23 +133,26 @@ def run_sweep(
     jobs: Optional[int] = None,
     force: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    backend: Union[str, ExecutorBackend, None] = None,
     repeats: Optional[int] = None,
     telemetry: bool = True,
     profile: bool = False,
+    max_retries: int = 2,
+    retry_backoff_s: float = 0.5,
 ) -> SweepOutcome:
-    """Expand ``sweep``, run uncached specs via ``backend``, persist.
+    """Expand ``sweep``, run uncached specs, persist.
 
     ``force`` re-runs specs even when the store already holds a
     successful record for their hash.  ``progress`` (if given) receives
-    one human-readable line per spec as results land.  ``backend``
-    names a registered executor (``serial``/``pool``/``queue``) or is a
-    ready :class:`ExecutorBackend` instance; default ``pool``.  An
-    explicit ``jobs`` is honoured uncapped (``0`` means "no local
-    workers" and only makes sense with the ``queue`` backend, where
-    external ``repro worker`` processes supply the labour).
-    ``repeats`` (if given) overrides the sweep's own repeat count —
-    the ``--repeats N`` CLI path — and must be >= 1.
+    one human-readable line per spec as results land.  ``jobs`` picks
+    the path: ``1`` (or a single pending spec) runs specs in this
+    process in expansion order; any other count runs them through the
+    durable work queue with that many local workers, honoured uncapped
+    (``0`` means "no local workers": external ``repro worker``
+    processes supply the labour).  Negative counts are rejected.
+    Queue-run specs that fail are re-attempted up to ``max_retries``
+    times, after an exponential backoff starting at
+    ``retry_backoff_s``.  ``repeats`` (if given) overrides the sweep's
+    own repeat count — the ``--repeats N`` CLI path — and must be >= 1.
 
     ``telemetry`` (default on) makes the scheduler emit schema-validated
     lifecycle events into ``<run-dir>/telemetry/`` — and, because the
@@ -182,16 +162,14 @@ def run_sweep(
     runs every spec under the simulator profiler and persists the
     per-component attribution on its record (``--profile``).
     """
+    if jobs is not None and jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
     if repeats is not None:
         if repeats < 1:
             raise SpecError(f"repeats must be >= 1, got {repeats}")
         sweep.repeats = repeats
     sweep.validate()
     specs = sweep.expand()
-    if isinstance(backend, ExecutorBackend):
-        executor = backend
-    else:
-        executor = executor_by_name(backend or "pool")
     store = ResultStore(out_dir)
     prior = store.load_sweep_name()
     if prior is not None and prior != sweep.name:
@@ -200,9 +178,7 @@ def run_sweep(
             f"refusing to mix in {sweep.name!r} — use a different --out"
         )
     store.save_sweep(sweep.to_dict())
-    outcome = SweepOutcome(
-        sweep=sweep.name, out_dir=Path(out_dir), backend=executor.name
-    )
+    outcome = SweepOutcome(sweep=sweep.name, out_dir=Path(out_dir))
     emitter = None
     if telemetry:
         from repro.obs.telemetry import TelemetryWriter
@@ -244,6 +220,10 @@ def run_sweep(
         for payload in payloads:
             payload["profile"] = True
     resolved_jobs = jobs if jobs is not None else default_jobs()
+    in_process = resolved_jobs == 1 or (
+        resolved_jobs > 1 and len(payloads) == 1
+    )
+    outcome.backend = "serial" if in_process else "queue"
     run_start = time.perf_counter()
     if emitter is not None:
         emitter.emit(
@@ -251,7 +231,7 @@ def run_sweep(
             sweep=sweep.name,
             total=len(unique),
             cached=outcome.cached,
-            backend=executor.name,
+            backend=outcome.backend,
             jobs=resolved_jobs,
         )
         for spec in cached_specs:
@@ -271,31 +251,49 @@ def run_sweep(
     if not payloads:
         return finish()
     labels = {s.spec_hash: s.label for s in pending}
-    ctx = ExecutionContext(
-        store=store,
-        jobs=resolved_jobs,
-        sweep=sweep.name,
-        git=git_metadata(repo_dir=None),
-    )
+    git = git_metadata(repo_dir=None)
+
+    def in_process_records() -> Iterator[StoredResult]:
+        for payload in payloads:
+            record = StoredResult(
+                timestamp=time.time(), sweep=sweep.name, **git,
+                **_execute_spec(payload)
+            )
+            store.append(record)
+            yield record
+
+    def queue_records() -> Iterator[StoredResult]:
+        # max_attempts counts the first try; N retries = N+1 attempts.
+        config = QueueConfig(
+            sweep=sweep.name,
+            git=git,
+            max_attempts=max_retries + 1,
+            backoff_s=retry_backoff_s,
+        )
+        queue = WorkQueue(store.root)
+        for raw in queue.drain(payloads, config, resolved_jobs):
+            yield StoredResult(**raw)
+
     # One scheduler per run directory: advisory, heartbeated on every
     # persisted record, stale-taken-over if a prior scheduler crashed.
     with store.writer_lock() as lock:
-        # Every backend persists records as they land (not after the
-        # run drains), so an interrupted sweep keeps every completed
-        # spec in the cache.
-        for record in executor.execute(payloads, ctx):
+        # Both paths persist records as they land (not after the run
+        # drains), so an interrupted sweep keeps every completed spec
+        # in the cache.
+        records = in_process_records() if in_process else queue_records()
+        for record in records:
             outcome.executed.append(record)
             lock.refresh()
+            label = labels.get(record.spec_hash, record.spec_hash)
             if emitter is not None:
                 emitter.emit(
                     "record",
                     spec_hash=record.spec_hash,
                     status=record.status,
                     wall_s=record.wall_time_s,
-                    label=labels.get(record.spec_hash, record.spec_hash),
+                    label=label,
                 )
             if progress:
                 state = "ok     " if record.ok else "FAILED "
-                label = labels.get(record.spec_hash, record.spec_hash)
                 progress(f"{state} {label} ({record.wall_time_s:.2f}s)")
     return finish()

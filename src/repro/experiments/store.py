@@ -17,7 +17,7 @@ materialises every record at once.
 Writers coordinate through advisory lockfiles: the scheduler holds a
 run-level ``store.lock`` (one sweep per directory at a time, with
 stale-lock takeover), and every append takes a per-shard lock so the
-``queue`` backend's independent workers can interleave safely.
+work queue's independent workers can interleave safely.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class StoredResult:
     sweep: str = ""
     git_commit: Optional[str] = None
     git_dirty: Optional[bool] = None
-    worker: Optional[str] = None     # queue-backend worker id, if any
+    worker: Optional[str] = None     # queue worker id, if any
     profile: Optional[Dict[str, object]] = None  # --profile attribution
 
     @property
@@ -222,7 +222,7 @@ class ResultStore:
         Advisory: a live holder blocks a second ``run_sweep`` on the
         same directory; a crashed holder's lock goes stale after
         :data:`RUN_LOCK_STALE_S` without heartbeats and is taken over.
-        ``queue``-backend workers do *not* take this lock — they
+        Queue workers do *not* take this lock — they
         serialise on per-shard locks inside :meth:`append`.
         """
         return FileLock(

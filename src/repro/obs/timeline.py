@@ -115,7 +115,7 @@ def build_timeline(run_dir: Union[str, Path]) -> Dict[str, object]:
             )
 
     if not have_task_slices:
-        # Pool/serial runs have no per-task worker telemetry; fall back
+        # In-process runs have no per-task worker telemetry; fall back
         # to the scheduler's per-record events so the trace still shows
         # one slice per executed spec.
         for event in events:

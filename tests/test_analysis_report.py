@@ -348,7 +348,7 @@ class TestRepeatSeedInjection:
 # ---------------------------- quick preset -----------------------------
 def test_quick_preset_runs_all_ten_specs_ok(tmp_path):
     outcome = run_sweep(
-        preset_sweep("quick"), tmp_path / "quick", backend="serial",
+        preset_sweep("quick"), tmp_path / "quick", jobs=1,
         telemetry=False,
     )
     assert outcome.total == len(outcome.executed) == 10
@@ -424,7 +424,7 @@ class TestSweepRepeatsCli:
         out_dir = tmp_path / "run"
         code, out = run_cli(
             "sweep", str(path), "--out", str(out_dir),
-            "--backend", "serial", "--repeats", "3",
+            "--jobs", "1", "--repeats", "3",
         )
         assert code == 0
         assert "3 specs" in out

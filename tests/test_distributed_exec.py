@@ -3,14 +3,15 @@
 Covers the advisory lockfiles (stale takeover, heartbeats), the
 sharded/streaming result store (roll-over parity, index fast path,
 100k-record streaming aggregation), the durable work queue (leases,
-crash requeue, retry-with-backoff), the worker loop behind
-``repro worker`` (including two concurrent workers on one queue), the
-``serial``/``pool``/``queue`` backend registry, the scheduler's writer
-lock, and the ``REPRO_JOBS``/uncapped ``--jobs`` contract.
+crash requeue, retry-with-backoff, expansion-order claims), the
+worker loop behind ``repro worker`` (including two concurrent workers
+on one queue), the choice between the in-process loop and the queue,
+the scheduler's writer lock, and the ``--jobs`` contract.
 """
 
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -24,25 +25,22 @@ from repro.experiments import (
     StoredResult,
     SweepSpec,
     default_jobs,
-    executor_by_name,
     run_sweep,
     run_worker,
 )
 from repro.experiments.exec import (
     FileLock,
     LockHeldError,
-    QueueBackend,
     QueueConfig,
     QueueError,
-    UnknownExecutorError,
     WorkQueue,
 )
-from repro.experiments.runner import _pool_context
+from repro.experiments.exec.queue import process_context
 from repro.experiments.store import RUN_LOCK_STALE_S, StoreCorruptionWarning
 from repro.harness.experiments import EXPERIMENTS
 
 needs_fork = pytest.mark.skipif(
-    _pool_context().get_start_method() != "fork",
+    process_context().get_start_method() != "fork",
     reason="multi-process tests need the fork start method",
 )
 
@@ -285,6 +283,22 @@ def test_queue_lease_lifecycle(tmp_path):
     }
 
 
+def test_queue_claims_in_expansion_order(tmp_path):
+    # Workers lease specs in the order the sweep expanded them, not in
+    # spec-hash order: twelve payloads with descending hashes.
+    payloads = [
+        {"spec_hash": f"{99 - i:016x}", "experiment": "table1",
+         "params": {}, "repeat": i, "seed": i}
+        for i in range(12)
+    ]
+    queue = _make_queue(tmp_path / "run", payloads)
+    claimed = [queue.claim("w", lease_timeout_s=30.0) for _ in payloads]
+    assert [task.spec_hash for task in claimed] == [
+        p["spec_hash"] for p in payloads
+    ]
+    assert queue.claim("w", lease_timeout_s=30.0) is None
+
+
 def test_queue_stale_lease_requeues_without_duplicate_record(tmp_path):
     # A worker crashes mid-spec: its lease stops heartbeating, the spec
     # requeues, and — because the crashed worker never completed — the
@@ -322,7 +336,7 @@ def test_queue_retry_backoff_delays_reclaim(tmp_path):
     assert delay == 60.0
     assert not queue.drained()  # still pending, just backing off
     assert queue.claim("w1", lease_timeout_s=30.0) is None
-    task_file = queue.tasks_dir / f"{task.spec_hash}.json"
+    task_file = queue.tasks_dir / f"{task.name}.json"
     data = json.loads(task_file.read_text())
     assert data["attempts"] == 1
     assert data["not_before"] > time.time()
@@ -378,7 +392,7 @@ def test_two_concurrent_workers_split_one_queue(tmp_path):
     run_dir = tmp_path / "run"
     payloads = _payloads(tiny_sweep(repeats=2))  # 4 distinct specs
     _make_queue(run_dir, payloads)
-    mp = _pool_context()
+    mp = process_context()
     workers = [
         mp.Process(
             target=run_worker,
@@ -400,33 +414,30 @@ def test_two_concurrent_workers_split_one_queue(tmp_path):
     assert WorkQueue(run_dir).drained()
 
 
-# --------------------------- Backends ---------------------------------
-def test_executor_registry_lists_options_on_typo():
-    assert executor_by_name("serial").name == "serial"
-    assert executor_by_name("pool").name == "pool"
-    assert executor_by_name("queue").name == "queue"
-    with pytest.raises(UnknownExecutorError, match="pool.*queue.*serial"):
-        executor_by_name("cloud")
-
-
+# ------------------------ In process or queue --------------------------
 def test_serial_backend_runs_sweep(tmp_path):
-    outcome = run_sweep(tiny_sweep(), tmp_path / "run", backend="serial")
+    outcome = run_sweep(tiny_sweep(), tmp_path / "run", jobs=1)
     assert outcome.ok and outcome.total == 2
     assert outcome.backend == "serial"
 
 
+def test_single_pending_spec_runs_in_process(tmp_path):
+    outcome = run_sweep(
+        tiny_sweep(experiments=["table1"]), tmp_path / "run", jobs=2
+    )
+    assert outcome.ok and outcome.backend == "serial"
+    assert not WorkQueue(tmp_path / "run").exists()
+
+
 @needs_fork
-def test_queue_backend_matches_pool_backend_per_spec(tmp_path):
-    # Acceptance: identical spec hashes, status, and series across
-    # backends (timing/metadata fields excluded).
+def test_queue_matches_in_process_per_spec(tmp_path):
+    # Acceptance: identical spec hashes, status, and series through the
+    # in-process loop and the queue (timing/metadata fields excluded).
     sweep = tiny_sweep()
-    assert run_sweep(sweep, tmp_path / "pool", jobs=2, backend="pool").ok
-    assert run_sweep(
-        sweep,
-        tmp_path / "queue",
-        jobs=2,
-        backend=QueueBackend(poll_s=0.01),
-    ).ok
+    serial = run_sweep(sweep, tmp_path / "serial", jobs=1)
+    queued = run_sweep(sweep, tmp_path / "queue", jobs=2)
+    assert serial.ok and queued.ok
+    assert (serial.backend, queued.backend) == ("serial", "queue")
 
     def comparable(run_dir):
         return {
@@ -434,7 +445,7 @@ def test_queue_backend_matches_pool_backend_per_spec(tmp_path):
             for h, r in ResultStore(run_dir).latest().items()
         }
 
-    assert comparable(tmp_path / "queue") == comparable(tmp_path / "pool")
+    assert comparable(tmp_path / "queue") == comparable(tmp_path / "serial")
     # A drained queue leaves no machinery behind in the run directory.
     assert not WorkQueue(tmp_path / "queue").exists()
 
@@ -446,20 +457,20 @@ def test_interrupted_queue_run_resumes_from_cache(tmp_path):
     # (simulated by a sweep that simply had less work), leaving stale
     # queue state behind.
     partial = tiny_sweep(experiments=["table1"])
-    assert run_sweep(
-        partial, run_dir, jobs=1, backend=QueueBackend(poll_s=0.01)
-    ).ok
+    assert run_sweep(partial, run_dir, jobs=2).ok
     WorkQueue(run_dir).create(  # leftover queue debris from the interrupt
         [{"spec_hash": "stale", "experiment": "x",
           "params": {}, "repeat": 0, "seed": 0}],
         QueueConfig(sweep="tiny"),
     )
     outcome = run_sweep(
-        tiny_sweep(), run_dir, jobs=1, backend=QueueBackend(poll_s=0.01)
+        tiny_sweep(experiments=["table1", "table2", "fig4"]), run_dir, jobs=2
     )
+    assert outcome.backend == "queue"
     assert outcome.cached == 1  # table1 resumed from the store, not re-run
-    assert [r.experiment for r in outcome.executed] == ["table2"]
-    assert len(ResultStore(run_dir).load()) == 2
+    assert sorted(r.experiment for r in outcome.executed) == ["fig4", "table2"]
+    assert len(ResultStore(run_dir).load()) == 3
+    assert not WorkQueue(run_dir).exists()  # debris replaced, then drained
 
 
 @needs_fork
@@ -473,7 +484,8 @@ def test_queue_backend_isolates_failures(tmp_path, monkeypatch):
         sweep,
         tmp_path / "run",
         jobs=2,
-        backend=QueueBackend(max_attempts=2, backoff_s=0.0, poll_s=0.01),
+        max_retries=1,
+        retry_backoff_s=0.0,
     )
     assert outcome.total == 2
     assert len(outcome.failed) == 1
@@ -512,16 +524,60 @@ def test_fully_cached_sweep_never_takes_the_lock(tmp_path):
 
 
 # ------------------------------ Jobs ----------------------------------
-def test_default_jobs_honors_repro_jobs_env(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "32")
-    assert default_jobs() == 32  # env override is uncapped
-    monkeypatch.setenv("REPRO_JOBS", "0")
+def test_default_jobs_is_the_cpu_count_capped_at_8(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 32)
+    assert default_jobs() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert default_jobs() == 1
-    monkeypatch.setenv("REPRO_JOBS", "lots")
-    with pytest.raises(ValueError, match="REPRO_JOBS"):
-        default_jobs()
-    monkeypatch.delenv("REPRO_JOBS")
-    assert 1 <= default_jobs() <= 8  # soft cap applies only to the default
+
+
+def test_negative_jobs_are_rejected_up_front(tmp_path):
+    # A negative count would start no local worker and wait forever
+    # for external ones.
+    with pytest.raises(ValueError, match="jobs must be >= 0"):
+        run_sweep(tiny_sweep(), tmp_path / "run", jobs=-1)
+    assert not (tmp_path / "run").exists()
+    code, out = run_cli(
+        "sweep", "--preset", "quick", "--jobs", "-1",
+        "--out", str(tmp_path / "cli"),
+    )
+    assert code == 2 and "--jobs must be >= 0, got -1" in out
+    assert not (tmp_path / "cli").exists()
+
+
+def test_scheduler_reads_each_done_marker_once(tmp_path, monkeypatch):
+    # The scheduler skips done markers it has already yielded by file
+    # stem, before parsing them.  One external worker lands one spec
+    # per scheduler poll, so re-parsing would read early markers again.
+    done_reads = []
+    read_json = WorkQueue._read_json
+
+    def counting_read(path):
+        if path.parent.name == "done":
+            done_reads.append(path.stem)
+        return read_json(path)
+
+    monkeypatch.setattr(WorkQueue, "_read_json", staticmethod(counting_read))
+    run_dir = tmp_path / "run"
+    sweep = tiny_sweep(repeats=2)  # 4 distinct specs
+    reported = threading.Semaphore(0)
+
+    def external_worker():
+        for _ in range(4):
+            run_worker(run_dir, wait_s=30.0, max_specs=1, poll_s=0.01)
+            reported.acquire(timeout=30.0)
+
+    worker = threading.Thread(target=external_worker)
+    worker.start()
+    outcome = run_sweep(
+        sweep, run_dir, jobs=0, telemetry=False,
+        progress=lambda _line: reported.release(),
+    )
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert outcome.ok and len(outcome.executed) == 4
+    executed = {record.spec_hash for record in outcome.executed}
+    assert sorted(done_reads) == sorted(executed)
 
 
 # ------------------------------- CLI ----------------------------------
@@ -531,14 +587,12 @@ def test_cli_sweep_queue_backend(tmp_path):
     spec.write_text(json.dumps(TINY_SWEEP))
     run_dir = tmp_path / "run"
     code, out = run_cli(
-        "sweep", str(spec), "--out", str(run_dir),
-        "--jobs", "2", "--backend", "queue",
+        "sweep", str(spec), "--out", str(run_dir), "--jobs", "2",
     )
     assert code == 0
     assert "[queue]" in out and "2 specs" in out and "0 failed" in out
     code, out = run_cli(
-        "sweep", str(spec), "--out", str(run_dir),
-        "--jobs", "2", "--backend", "queue",
+        "sweep", str(spec), "--out", str(run_dir), "--jobs", "2",
     )
     assert code == 0 and "2 cached" in out
 
@@ -554,7 +608,7 @@ def test_cli_worker_drains_a_prepared_queue(tmp_path):
 def test_cli_worker_without_queue_exits_2(tmp_path):
     code, out = run_cli("worker", str(tmp_path / "empty"), "--wait-s", "0")
     assert code == 2
-    assert "no work queue" in out and "--backend queue" in out
+    assert "no work queue" in out and "--jobs 0" in out
 
 
 # ----------------------- batched store appends ------------------------
@@ -669,24 +723,17 @@ def _repeat_records(run_dir):
 
 @needs_fork
 def test_repeats_identical_across_backends(tmp_path):
-    # --repeats 3 must yield the same per-repeat records whichever
-    # executor ran them: the seed lives in the spec, not the worker.
-    backends = {
-        "serial": "serial",
-        "pool": "pool",
-        "queue": QueueBackend(poll_s=0.01),
-    }
+    # --repeats 3 must yield the same per-repeat records in process and
+    # through the queue: the seed lives in the spec, not the worker.
     results = {}
-    for name, backend in backends.items():
+    for name, jobs in (("serial", 1), ("queue", 2)):
         outcome = run_sweep(
-            SweepSpec.from_dict(REPEAT_SWEEP),
-            tmp_path / name,
-            jobs=2,
-            backend=backend,
+            SweepSpec.from_dict(REPEAT_SWEEP), tmp_path / name, jobs=jobs
         )
         assert outcome.ok and outcome.total == 3
+        assert outcome.backend == name
         results[name] = _repeat_records(tmp_path / name)
-    assert results["serial"] == results["pool"] == results["queue"]
+    assert results["serial"] == results["queue"]
     # Three distinct injected seeds, three distinct sample series.
     records = results["serial"]
     assert len(records) == 3
@@ -698,25 +745,23 @@ def test_repeat_rerun_hits_cache(tmp_path):
     # Re-running the same repeat sweep re-executes nothing: repeats
     # are content-addressed like any other spec.
     first = run_sweep(
-        SweepSpec.from_dict(REPEAT_SWEEP), tmp_path / "run", backend="serial"
+        SweepSpec.from_dict(REPEAT_SWEEP), tmp_path / "run", jobs=1
     )
     assert first.ok and len(first.executed) == 3
     second = run_sweep(
-        SweepSpec.from_dict(REPEAT_SWEEP), tmp_path / "run", backend="serial"
+        SweepSpec.from_dict(REPEAT_SWEEP), tmp_path / "run", jobs=1
     )
     assert second.ok and second.cached == 3 and not second.executed
 
 
 def test_run_sweep_repeats_override(tmp_path):
     sweep = SweepSpec.from_dict(dict(REPEAT_SWEEP, repeats=1))
-    outcome = run_sweep(
-        sweep, tmp_path / "run", backend="serial", repeats=2
-    )
+    outcome = run_sweep(sweep, tmp_path / "run", jobs=1, repeats=2)
     assert outcome.ok and outcome.total == 2
     with pytest.raises(SpecError, match="repeats"):
         run_sweep(
             SweepSpec.from_dict(REPEAT_SWEEP),
             tmp_path / "bad",
-            backend="serial",
+            jobs=1,
             repeats=0,
         )

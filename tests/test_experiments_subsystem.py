@@ -24,7 +24,7 @@ from repro.experiments import (
     preset_sweep,
     run_sweep,
 )
-from repro.experiments.runner import _pool_context
+from repro.experiments.exec.queue import process_context
 from repro.harness.experiments import (
     EXPERIMENTS,
     fig13_load_latency,
@@ -285,18 +285,37 @@ def test_runner_parallel_execution_and_metadata(tmp_path):
 def test_runner_persists_each_result_as_it_lands(tmp_path):
     # Progress callbacks observe the store mid-sweep: every completed
     # spec must already be on disk, so an interrupted sweep keeps them.
+    # The in-process loop appends each record before reporting it.
     store = ResultStore(tmp_path / "run")
     persisted_counts = []
 
     def watch(_line):
         persisted_counts.append(len(store.load()))
 
-    run_sweep(tiny_sweep(), tmp_path / "run", jobs=2, progress=watch)
+    run_sweep(tiny_sweep(), tmp_path / "run", jobs=1, progress=watch)
     assert persisted_counts == [1, 2, 3, 4]
 
 
+def test_queue_reports_only_persisted_results(tmp_path):
+    # Queue workers append records in batches, so several may land
+    # before the scheduler reports the first; each reported spec must
+    # already be on disk.
+    store = ResultStore(tmp_path / "run")
+    hashes = {spec.label: spec.spec_hash for spec in tiny_sweep().expand()}
+    reported = []
+
+    def watch(line):
+        label = line[len("ok      "):].rsplit(" (", 1)[0]
+        on_disk = {record.spec_hash for record in store.load()}
+        reported.append(hashes[label] in on_disk)
+
+    outcome = run_sweep(tiny_sweep(), tmp_path / "run", jobs=2, progress=watch)
+    assert outcome.backend == "queue"
+    assert reported == [True] * 4
+
+
 @pytest.mark.skipif(
-    _pool_context().get_start_method() != "fork",
+    process_context().get_start_method() != "fork",
     reason="parallel failure isolation test needs fork start method",
 )
 def test_runner_isolates_failures_in_parallel(tmp_path, monkeypatch):

@@ -573,7 +573,7 @@ def test_cli_sweep_retry_flags_validated():
     code, out = run_cli("sweep", "quick", "--retry-backoff-s", "-0.1")
     assert code == 2 and "--retry-backoff-s" in out
     code, out = run_cli(
-        "sweep", "quick", "--max-retries", "2", "--backend", "pool"
+        "sweep", "quick", "--max-retries", "2", "--jobs", "1"
     )
     assert code == 2 and "queue" in out
 
@@ -581,7 +581,7 @@ def test_cli_sweep_retry_flags_validated():
 def test_cli_sweep_fault_tolerance_serial(tmp_path):
     out_dir = tmp_path / "ft"
     code, out = run_cli(
-        "sweep", "fault-tolerance", "--backend", "serial",
+        "sweep", "fault-tolerance", "--jobs", "1",
         "--out", str(out_dir),
     )
     assert code == 0

@@ -4,8 +4,8 @@
 ``topology-scale``, ``workload-mix`` and ``fault-tolerance`` presets as
 canonical JSON: each spec hash maps to the stored record's
 ``experiment``, ``params``, ``status`` and ``series``.  The test diffs
-all three through the in-process path (``jobs=1``) and one of them
-through the parallel path (``jobs=2``), byte for byte.  A deliberate
+all three through the in-process loop (``jobs=1``) and one of them
+through the work queue (``jobs=2``), byte for byte.  A deliberate
 model change re-pins them with::
 
     PYTHONPATH=src python tests/test_preset_goldens.py --regen
@@ -34,6 +34,7 @@ def _pinned(preset, run_dir, jobs):
         preset_sweep(preset), run_dir, jobs=jobs, telemetry=False
     )
     assert outcome.total == len(outcome.executed)
+    assert outcome.backend == ("serial" if jobs == 1 else "queue")
     records = {
         spec_hash: {
             "experiment": record.experiment,
@@ -53,7 +54,7 @@ def test_preset_matches_golden_in_process(preset, tmp_path):
     )
 
 
-def test_preset_matches_golden_in_parallel(tmp_path):
+def test_preset_matches_golden_through_the_queue(tmp_path):
     assert _pinned("workload-mix", tmp_path / "run", jobs=2) == (
         _golden_path("workload-mix").read_text()
     )
